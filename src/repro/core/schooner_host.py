@@ -17,8 +17,10 @@ import numpy as np
 
 from ..machines.host import Machine
 from ..schooner.api import ModuleContext
+from ..schooner.lines import Line, LineState
 from ..schooner.manager import Manager
 from ..schooner.runtime import CallBatch, CallerContext
+from ..schooner.stubs import ClientStub
 from ..solvers.steady import fd_jacobian
 from ..tess.gas import GasState
 from ..tess.hosts import ComponentHost, LocalHost
@@ -42,6 +44,46 @@ _IMPORTS = {
     "combustor": SpecFile.parse(COMBUSTOR_SPEC_SOURCE).as_imports(),
     "nozzle": SpecFile.parse(NOZZLE_SPEC_SOURCE).as_imports(),
 }
+
+
+@dataclass
+class _Bound:
+    """One placed instance as the last ``sch_contact_schx`` left it: the
+    module context, the placement it was contacted for, the line and
+    placement entry it returned, the instance's stubs, and the
+    parameters its ``set*`` procedure last ran with on this line."""
+
+    ctx: ModuleContext
+    kind: str
+    placement: Placement
+    line: Line
+    entry: tuple  # ctx._placements[path]: (machine, path, records)
+    stubs: Dict[str, ClientStub] = field(default_factory=dict)
+    init: Optional[tuple] = None
+
+    def current(self, placement: Optional[Placement]) -> bool:
+        """Whether ``sch_contact_schx`` would return this binding
+        unchanged: same placement, the line still active, the context's
+        placement entry untouched and every record's process alive."""
+        if placement is not self.placement or self.ctx._line is not self.line:
+            return False
+        if self.line.state is not LineState.ACTIVE:
+            return False
+        entry = self.entry
+        if self.ctx._placements.get(entry[1]) is not entry:
+            return False
+        for record in entry[2]:
+            if not record.process.alive:
+                return False
+        return True
+
+    def stub(self, name: str) -> ClientStub:
+        stub = self.stubs.get(name)
+        if stub is None:
+            stub = self.stubs[name] = self.ctx.import_proc(
+                _IMPORTS[self.kind].import_named(name)
+            )
+        return stub
 
 
 @dataclass
@@ -75,7 +117,7 @@ class SchoonerHost(ComponentHost):
     placements: Dict[str, Placement] = field(default_factory=dict)
     dispatch: str = "overlap"  # "overlap" | "sync"
     _contexts: Dict[str, ModuleContext] = field(default_factory=dict)
-    _initialized: Dict[str, tuple] = field(default_factory=dict)
+    _bound: Dict[str, _Bound] = field(default_factory=dict)
     _local: LocalHost = field(default_factory=LocalHost)
     calls: Dict[str, int] = field(default_factory=dict)
     _caller: Optional[CallerContext] = field(default=None, repr=False)
@@ -105,8 +147,16 @@ class SchoonerHost(ComponentHost):
         return (ctx is not None and ctx.batch is not None
                 and ctx.batch.active_branch is not None)
 
-    def _context(self, key: str) -> Optional[ModuleContext]:
-        """The ModuleContext for an instance key, or None if local."""
+    def _context(self, key: str) -> Optional[_Bound]:
+        """The live binding of an instance key, or None if local.
+
+        Every call goes through ``sch_contact_schx`` semantically; the
+        binding only skips re-running it while nothing it checks has
+        changed (:meth:`_Bound.current`)."""
+        placement = self.placements.get(key)
+        bound = self._bound.get(key)
+        if bound is not None and bound.current(placement):
+            return bound
         if key not in self.placements:
             return None
         if key not in self._contexts:
@@ -116,8 +166,15 @@ class SchoonerHost(ComponentHost):
             )
         ctx = self._contexts[key]
         kind = key.split(":")[0]
-        ctx.sch_contact_schx(self._machine(self.placements[key]), REMOTE_PATHS[kind])
-        return ctx
+        path = REMOTE_PATHS[kind]
+        ctx.sch_contact_schx(self._machine(placement), path)
+        fresh = _Bound(ctx, kind, placement, ctx._line, ctx._placements[path])
+        if bound is not None and bound.line is fresh.line and bound.placement == placement:
+            # same line, same placement: the set* state and stubs carry over
+            fresh.init = bound.init
+            fresh.stubs = bound.stubs
+        self._bound[key] = fresh
+        return fresh
 
     def _count(self, key: str) -> None:
         self.calls[key] = self.calls.get(key, 0) + 1
@@ -138,64 +195,55 @@ class SchoonerHost(ComponentHost):
         ctx = self._contexts.pop(key, None)
         if ctx is not None:
             ctx.sch_i_quit()
-        self._initialized.pop(key, None)
+        self._bound.pop(key, None)
 
     def destroy_all(self) -> None:
         for key in list(self._contexts):
             self.destroy_instance(key)
 
     # ------------------------------------------------------------ components
-    def _ensure_init(self, key: str, ctx: ModuleContext, params: tuple) -> None:
+    def _ensure_init(self, bound: _Bound, params: tuple) -> None:
         """Run the instance's set* procedure once (or again after a
-        parameter/placement change)."""
-        marker = (id(ctx.line), self.placements[key], params)
-        if self._initialized.get(key) == marker:
+        parameter/placement/line change)."""
+        if bound.init == params:
             return
-        kind = key.split(":")[0]
-        spec = _IMPORTS[kind]
+        kind = bound.kind
         if kind == "shaft":
-            stub = ctx.import_proc(spec.import_named("setshaft"))
-            stub(inertia=params[0], omegad=params[1], mecheff=params[2])
+            bound.stub("setshaft")(inertia=params[0], omegad=params[1], mecheff=params[2])
         elif kind == "duct":
-            stub = ctx.import_proc(spec.import_named("setduct"))
-            stub(dpqp=params[0])
+            bound.stub("setduct")(dpqp=params[0])
         elif kind == "combustor":
-            stub = ctx.import_proc(spec.import_named("setcomb"))
-            stub(eta=params[0], dpqp=params[1], tmax=params[2])
+            bound.stub("setcomb")(eta=params[0], dpqp=params[1], tmax=params[2])
         elif kind == "nozzle":
-            stub = ctx.import_proc(spec.import_named("setnozl"))
-            stub(cd=params[0], area=params[1])
-        self._initialized[key] = marker
+            bound.stub("setnozl")(cd=params[0], area=params[1])
+        bound.init = params
 
     def duct(self, name: str, duct, state: GasState) -> GasState:
         key = f"duct:{name}"
-        ctx = self._context(key)
-        if ctx is None:
+        bound = self._context(key)
+        if bound is None:
             return self._local.duct(name, duct, state)
         self._count(key)
-        self._ensure_init(key, ctx, (duct.dpqp,))
-        stub = ctx.import_proc(_IMPORTS["duct"].import_named("duct"))
-        out = stub(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far)
+        self._ensure_init(bound, (duct.dpqp,))
+        out = bound.stub("duct")(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far)
         return GasState(W=out["wo"], Tt=out["tto"], Pt=out["pto"], far=out["faro"])
 
     def combustor(self, comb, state: GasState, wf: float) -> GasState:
-        ctx = self._context("combustor")
-        if ctx is None:
+        bound = self._context("combustor")
+        if bound is None:
             return self._local.combustor(comb, state, wf)
         self._count("combustor")
-        self._ensure_init("combustor", ctx, (comb.efficiency, comb.dpqp, comb.t_max))
-        stub = ctx.import_proc(_IMPORTS["combustor"].import_named("comb"))
-        out = stub(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far, wfuel=wf)
+        self._ensure_init(bound, (comb.efficiency, comb.dpqp, comb.t_max))
+        out = bound.stub("comb")(w=state.W, tt=state.Tt, pt=state.Pt, far=state.far, wfuel=wf)
         return GasState(W=out["wo"], Tt=out["tto"], Pt=out["pto"], far=out["faro"])
 
     def nozzle(self, nozzle, state: GasState, ps_ambient: float, flight_speed: float):
-        ctx = self._context("nozzle")
-        if ctx is None:
+        bound = self._context("nozzle")
+        if bound is None:
             return self._local.nozzle(nozzle, state, ps_ambient, flight_speed)
         self._count("nozzle")
-        self._ensure_init("nozzle", ctx, (nozzle.cd, nozzle.area_m2))
-        stub = ctx.import_proc(_IMPORTS["nozzle"].import_named("nozl"))
-        out = stub(
+        self._ensure_init(bound, (nozzle.cd, nozzle.area_m2))
+        out = bound.stub("nozl")(
             w=state.W, tt=state.Tt, pt=state.Pt, far=state.far,
             ps0=ps_ambient, v0=flight_speed,
         )
@@ -203,12 +251,12 @@ class SchoonerHost(ComponentHost):
 
     def shaft_accel(self, name, shaft, ecom, etur, ecorr, xspool):
         key = f"shaft:{name}"
-        ctx = self._context(key)
-        if ctx is None:
+        bound = self._context(key)
+        if bound is None:
             return self._local.shaft_accel(name, shaft, ecom, etur, ecorr, xspool)
         self._count(key)
-        self._ensure_init(key, ctx, (shaft.inertia, shaft.omega_design, shaft.mech_eff))
-        stub = ctx.import_proc(_IMPORTS["shaft"].import_named("shaft"))
+        self._ensure_init(bound, (shaft.inertia, shaft.omega_design, shaft.mech_eff))
+        stub = bound.stub("shaft")
 
         def pad4(seq):
             vals = list(seq)[:4]
@@ -239,13 +287,13 @@ class SchoonerHost(ComponentHost):
         out: list = [None] * len(jobs)
         prepared = []
         for i, (name, duct, state) in enumerate(jobs):
-            ctx = self._context(keys[i])
-            if ctx is None:
+            bound = self._context(keys[i])
+            if bound is None:
                 out[i] = self._local.duct(name, duct, state)
                 continue
             self._count(keys[i])
-            self._ensure_init(keys[i], ctx, (duct.dpqp,))
-            stub = ctx.import_proc(_IMPORTS["duct"].import_named("duct"))
+            self._ensure_init(bound, (duct.dpqp,))
+            stub = bound.stub("duct")
             prepared.append((i, stub, dict(
                 w=state.W, tt=state.Tt, pt=state.Pt, far=state.far
             )))
@@ -265,15 +313,13 @@ class SchoonerHost(ComponentHost):
         prepared = []
         for i, job in enumerate(jobs):
             name, shaft, ecom, etur, ecorr, xspool = job
-            ctx = self._context(keys[i])
-            if ctx is None:
+            bound = self._context(keys[i])
+            if bound is None:
                 out[i] = self._local.shaft_accel(*job)
                 continue
             self._count(keys[i])
-            self._ensure_init(
-                keys[i], ctx, (shaft.inertia, shaft.omega_design, shaft.mech_eff)
-            )
-            stub = ctx.import_proc(_IMPORTS["shaft"].import_named("shaft"))
+            self._ensure_init(bound, (shaft.inertia, shaft.omega_design, shaft.mech_eff))
+            stub = bound.stub("shaft")
 
             def pad4(seq):
                 vals = list(seq)[:4]

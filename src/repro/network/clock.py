@@ -133,6 +133,11 @@ class VirtualClock:
             return self._now
 
     def _observe(self, t: float) -> None:
+        # ``_now`` only ever grows, so a timeline that is not ahead of
+        # it has nothing to report and needs no lock (most advances of
+        # a serve are behind the envelope)
+        if t <= self._now:
+            return
         with self._lock:
             if t > self._now:
                 self._now = t

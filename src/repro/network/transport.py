@@ -15,6 +15,7 @@ import itertools
 import struct
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 from zlib import crc32
 
@@ -49,7 +50,6 @@ class MessageDropped(NetworkError):
 FaultFilter = Callable[[Machine, Machine, str, int, float], Tuple[bool, float]]
 
 
-@dataclass(frozen=True)
 class Message:
     """One delivered message.
 
@@ -66,19 +66,47 @@ class Message:
     ``deadline_s`` is the caller's propagated virtual-time deadline
     (``None`` = no deadline; packed as +inf in the header) — the
     receiving side checks it against its own clock before doing work.
+
+    A plain ``__slots__`` record: one is built per simulated message.
     """
 
-    msg_id: int
-    src: str
-    dst: str
-    kind: str
-    body: Any
-    nbytes: int
-    header_nbytes: int
-    sent_at: float
-    delivered_at: float
-    header: bytes = b""
-    deadline_s: Optional[float] = None
+    __slots__ = (
+        "msg_id", "src", "dst", "kind", "body", "nbytes", "header_nbytes",
+        "sent_at", "delivered_at", "header", "deadline_s",
+    )
+
+    def __init__(
+        self,
+        msg_id: int,
+        src: str,
+        dst: str,
+        kind: str,
+        body: Any,
+        nbytes: int,
+        header_nbytes: int,
+        sent_at: float,
+        delivered_at: float,
+        header: bytes = b"",
+        deadline_s: Optional[float] = None,
+    ) -> None:
+        self.msg_id = msg_id
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.body = body
+        self.nbytes = nbytes
+        self.header_nbytes = header_nbytes
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
+        self.header = header
+        self.deadline_s = deadline_s
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(msg_id={self.msg_id}, {self.src} -> {self.dst}, "
+            f"kind={self.kind!r}, nbytes={self.nbytes}, "
+            f"sent_at={self.sent_at}, delivered_at={self.delivered_at})"
+        )
 
     @property
     def total_nbytes(self) -> int:
@@ -88,6 +116,18 @@ class Message:
     @property
     def transfer_seconds(self) -> float:
         return self.delivered_at - self.sent_at
+
+
+# crc32 header tags, computed once per distinct string: message kinds
+# are per procedure, host names per machine
+@lru_cache(maxsize=4096)
+def _kind_tag(kind: str) -> int:
+    return crc32(kind.encode("ascii", "replace"))
+
+
+@lru_cache(maxsize=4096)
+def _host_tag(hostname: str) -> int:
+    return crc32(hostname.encode())
 
 
 @dataclass
@@ -189,7 +229,8 @@ class Transport:
         header so the receiver can refuse already-late work.
         """
         total = nbytes + header_bytes
-        dt = self.topology.transfer_seconds(src, dst, total)
+        link = self.topology.classify(src, dst)
+        dt = link.transfer_seconds(total)
         now = timeline.now if timeline is not None else self.clock.now
         if not dst.up:
             with self._lock:
@@ -208,7 +249,6 @@ class Transport:
             dt += extra_s
         queue_wait = 0.0
         if self.contention:
-            link = self.topology.classify(src, dst)
             serialization = total / link.bandwidth_Bps
             key = self._trunk_key(src, dst)
             free_at = self._trunk_free.get(key, 0.0)
@@ -223,31 +263,21 @@ class Transport:
         if body is not None and self.copy_per_hop:
             # the pre-zero-copy store-and-forward: every hop (gateway)
             # re-materialized the payload before forwarding it
-            hops = self.topology.classify(src, dst).hops
-            for _ in range(max(1, hops)):
+            for _ in range(max(1, link.hops)):
                 body = bytes(body)
                 count_payload_copy()
         msg_id = next(self._ids)
         header = HEADER_STRUCT.pack(
             msg_id & 0xFFFFFFFF,
-            crc32(kind.encode("ascii", "replace")),
+            _kind_tag(kind),
             nbytes,
-            crc32(src.hostname.encode()),
-            crc32(dst.hostname.encode()),
+            _host_tag(src.hostname),
+            _host_tag(dst.hostname),
             NO_DEADLINE if deadline_s is None else deadline_s,
         )
         msg = Message(
-            msg_id=msg_id,
-            src=src.hostname,
-            dst=dst.hostname,
-            kind=kind,
-            body=body,
-            nbytes=nbytes,
-            header_nbytes=header_bytes,
-            sent_at=sent_at,
-            delivered_at=delivered_at,
-            header=header,
-            deadline_s=deadline_s,
+            msg_id, src.hostname, dst.hostname, kind, body, nbytes, header_bytes,
+            sent_at, delivered_at, header, deadline_s,
         )
         with self._lock:
             self.stats.record(msg)

@@ -26,11 +26,18 @@ from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
 from ..uts.buffers import WIRE_BUFFERS
 from ..uts.compiled import native_roundtrip_for, signature_codec
+from ..uts.errors import UTSCompatibilityError
 from ..uts.native import OutOfRangePolicy
 from ..uts.types import Signature
-from ..uts.values import conform_args
-from .errors import CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
+from .errors import (
+    CallFailed,
+    CallTimeout,
+    DeadlineExceeded,
+    StaleBinding,
+    TypeCheckError,
+)
 from .lines import InstanceRecord, LinePool
+from .procedure import STATE_ARG, TIMELINE_ARG
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stubs import ClientStub
@@ -43,6 +50,8 @@ __all__ = [
     "CallFuture",
     "CallBatch",
     "SchoonerEnvironment",
+    "CallPlan",
+    "bind_call",
     "execute_call",
 ]
 
@@ -235,6 +244,108 @@ class SchoonerEnvironment:
         self.close()
 
 
+class CallPlan:
+    """One stub binding's compiled call: everything about an RPC that
+    depends only on *where* it goes, computed once when a stub installs
+    an :class:`InstanceRecord` and reused by every call until the
+    binding changes (see :func:`bind_call`).
+
+    A plan is valid for exactly one ``(record, range_policy)`` pair —
+    the record fixes the procedure, the callee machine and so the
+    callee's native format; the stub's caller machine fixes the other.
+    """
+
+    __slots__ = (
+        "record", "policy", "name", "type_error",
+        "callee", "procedure", "wants_state", "wants_timeline",
+        "sig", "send_codec", "return_codec",
+        "caller_send", "callee_recv", "callee_reply", "caller_recv",
+        "call_kind", "reply_kind",
+    )
+
+
+def bind_call(
+    env: SchoonerEnvironment,
+    caller_machine: Machine,
+    record: InstanceRecord,
+    import_sig: Signature,
+) -> CallPlan:
+    """Bind ``import_sig`` to ``record`` for calls from ``caller_machine``.
+
+    Derives the Manager's import-vs-export verdict (an incompatible
+    binding still binds; every call through it raises
+    :class:`TypeCheckError`), the two signature codecs with their
+    compiled conform, the caller- and callee-side native round-trip
+    plans for the two machines' formats under ``env.range_policy``,
+    and the message kinds."""
+    plan = CallPlan()
+    plan.record = record
+    plan.policy = policy = env.range_policy
+    plan.sig = import_sig
+    plan.name = name = import_sig.name
+    plan.callee = record.machine
+    # the Manager's runtime type check: the import must be a subset of
+    # the export (checked under the export's canonical name, so any
+    # Fortran case synonym the caller used passes)
+    export_sig = record.procedure.signature
+    try:
+        Signature(
+            name=export_sig.name, params=import_sig.params, kind=import_sig.kind
+        ).check_import_subset(export_sig)
+    except UTSCompatibilityError as exc:
+        plan.type_error = exc
+        return plan
+    plan.type_error = None
+    proc = record.procedure
+    plan.procedure = proc
+    plan.wants_state = proc.wants_state
+    plan.wants_timeline = proc.wants_timeline
+    plan.send_codec = send = signature_codec(import_sig, "send")
+    plan.return_codec = ret = signature_codec(import_sig, "return")
+    caller_fmt = caller_machine.architecture.native_format
+    callee_fmt = record.machine.architecture.native_format
+    plan.caller_send = native_roundtrip_for(caller_fmt, send.record_type, policy)
+    plan.callee_recv = native_roundtrip_for(callee_fmt, send.record_type, policy)
+    plan.callee_reply = native_roundtrip_for(callee_fmt, ret.record_type, policy)
+    plan.caller_recv = native_roundtrip_for(caller_fmt, ret.record_type, policy)
+    plan.call_kind = f"call:{name}"
+    plan.reply_kind = f"reply:{name}"
+    return plan
+
+
+def _lost(env, plan, trace, timeline, deadline, sink_trace, exc, retry_safe, hop):
+    """The caller waits out the call timeout in virtual time, then gives
+    up: the :class:`CallTimeout` for a lost request or reply."""
+    timeout_s = env.costs.call_timeout_s
+    timeline.advance(timeout_s)
+    trace.outcome = "timeout"
+    trace.timeout_hop = hop
+    trace.finished_at = timeline.now
+    sink_trace(trace)
+    remaining = deadline.remaining(timeline.now) if deadline is not None else None
+    budget = f", {remaining:.3f}s of deadline budget left" if remaining is not None else ""
+    return CallTimeout(
+        f"{plan.name}: no reply from {plan.callee.hostname} "
+        f"within {timeout_s}s ({hop} lost: {exc}){budget}",
+        retry_safe=retry_safe,
+        trace=trace,
+        hop=hop,
+        deadline_remaining_s=remaining,
+    )
+
+
+def _late(plan, trace, timeline, deadline, sink_trace, where):
+    """The deadline stamped in the header has passed: refuse the work."""
+    trace.outcome = "deadline"
+    trace.finished_at = timeline.now
+    sink_trace(trace)
+    return DeadlineExceeded(
+        f"{plan.name}: {deadline.describe(timeline.now)} {where}",
+        trace=trace,
+        remaining_s=deadline.remaining(timeline.now),
+    )
+
+
 def execute_call(
     env: SchoonerEnvironment,
     caller_machine: Machine,
@@ -247,18 +358,25 @@ def execute_call(
     dispatch: str = "sync",
     trace_sink: Optional[List[CallTrace]] = None,
     deadline: Optional[Deadline] = None,
+    plan: Optional[CallPlan] = None,
 ) -> Dict[str, Any]:
     """Execute one remote procedure call.
 
+    ``plan`` is the binding's :class:`CallPlan` (:func:`bind_call` of
+    ``caller_machine``, ``record`` and ``import_sig``); client stubs pass
+    the one they bound, and a direct call without it binds on the spot.
+
     Raises :class:`StaleBinding` when the target process is gone (the
     stub's cue to refresh its name cache from the Manager),
-    :class:`CallTimeout` when a request or reply is lost on the simulated
-    network (the caller waits out ``costs.call_timeout_s`` of virtual
-    time first), :class:`DeadlineExceeded` when ``deadline`` has expired
-    before the call starts or by the time the request reaches the server
-    (the server refuses already-late work rather than computing results
-    nobody can use), and :class:`CallFailed` for argument conversion
-    failures.  ``retries``/``failed_over`` annotate the recorded trace.
+    :class:`TypeCheckError` when the import is not a subset of the
+    export, :class:`CallTimeout` when a request or reply is lost on the
+    simulated network (the caller waits out ``costs.call_timeout_s`` of
+    virtual time first), :class:`DeadlineExceeded` when ``deadline`` has
+    expired before the call starts or by the time the request reaches
+    the server (the server refuses already-late work rather than
+    computing results nobody can use), and :class:`CallFailed` when the
+    remote procedure raises.  ``retries``/``failed_over`` annotate the
+    recorded trace.
 
     ``deadline`` also rides in both messages' packed wire headers
     (:data:`~repro.network.transport.HEADER_STRUCT`'s final field) — the
@@ -269,85 +387,38 @@ def execute_call(
     environment in submission order, so the trace log stays
     deterministic under the thread pool).
     """
-    if not record.process.alive:
-        raise StaleBinding(
-            f"{import_sig.name}: process {record.process.address} is not running"
-        )
+    if plan is None:
+        plan = bind_call(env, caller_machine, record, import_sig)
+    process = record.process
+    if not process.alive:
+        raise StaleBinding(f"{plan.name}: process {process.address} is not running")
+    if plan.type_error is not None:
+        raise TypeCheckError(str(plan.type_error)) from plan.type_error
 
-    # the Manager's runtime type check, applied on every call path (not
-    # just stub resolution): the import must be a subset of the export
-    from ..uts.errors import UTSCompatibilityError
-    from .errors import TypeCheckError
-
-    try:
-        Signature(
-            name=record.procedure.signature.name,
-            params=import_sig.params,
-            kind=import_sig.kind,
-        ).check_import_subset(record.procedure.signature)
-    except UTSCompatibilityError as exc:
-        raise TypeCheckError(str(exc)) from exc
-
-    callee_machine = record.machine
-    export_sig = record.procedure.signature
-    policy = env.range_policy
+    callee = plan.callee
     trace = CallTrace(
-        procedure=import_sig.name,
+        procedure=plan.name,
         caller=caller_machine.hostname,
-        callee=callee_machine.hostname,
+        callee=callee.hostname,
         started_at=timeline.now,
         retries=retries,
         failed_over=failed_over,
         dispatch=dispatch,
     )
     sink_trace = env.record_trace if trace_sink is None else trace_sink.append
-
-    def _lost(exc: Exception, retry_safe: bool, hop: str) -> CallTimeout:
-        # the caller waits out the timeout in virtual time, then gives up
-        timeline.advance(env.costs.call_timeout_s)
-        trace.outcome = "timeout"
-        trace.timeout_hop = hop
-        trace.finished_at = timeline.now
-        sink_trace(trace)
-        remaining = deadline.remaining(timeline.now) if deadline is not None else None
-        budget = (
-            f", {remaining:.3f}s of deadline budget left"
-            if remaining is not None
-            else ""
-        )
-        return CallTimeout(
-            f"{import_sig.name}: no reply from {callee_machine.hostname} "
-            f"within {env.costs.call_timeout_s}s ({hop} lost: {exc}){budget}",
-            retry_safe=retry_safe,
-            trace=trace,
-            hop=hop,
-            deadline_remaining_s=remaining,
-        )
-
-    def _late(where: str) -> DeadlineExceeded:
-        # the deadline stamped in the header has passed: refuse the work
-        trace.outcome = "deadline"
-        trace.finished_at = timeline.now
-        sink_trace(trace)
-        assert deadline is not None
-        return DeadlineExceeded(
-            f"{import_sig.name}: {deadline.describe(timeline.now)} {where}",
-            trace=trace,
-            remaining_s=deadline.remaining(timeline.now),
-        )
-
-    if deadline is not None and deadline.expired(timeline.now):
-        # client-side refusal: don't marshal or touch the network for
-        # work that is already late
-        raise _late("before dispatch")
-
-    # Compiled UTS plans: one walk of each parameter type, cached per
-    # (signature, direction) and per (format, type, policy) — the RPC
-    # hot path never re-dispatches on the type tree.
-    caller_fmt = caller_machine.architecture.native_format
-    callee_fmt = callee_machine.architecture.native_format
-    send_codec = signature_codec(import_sig, "send")
-    return_codec = signature_codec(import_sig, "return")
+    if deadline is None:
+        deadline_s = None
+    else:
+        if deadline.expired(timeline.now):
+            # client-side refusal: don't marshal or touch the network for
+            # work that is already late
+            raise _late(plan, trace, timeline, deadline, sink_trace, "before dispatch")
+        deadline_s = deadline.at_s
+    flops_per_byte = env.costs.marshal_flops_per_byte
+    header_bytes = env.costs.header_bytes
+    send = env.transport.send
+    send_codec = plan.send_codec
+    return_codec = plan.return_codec
 
     # --- client side: conform, apply caller-native storage, marshal -------
     # Zero-copy wire path: both directions encode into pooled bytearrays
@@ -355,11 +426,7 @@ def execute_call(
     # anywhere between encode and decode.  The views are released (and
     # the buffers returned to the pool) before this call returns, so the
     # decoded results never alias pool memory.
-    sent = conform_args(import_sig, args, "send")
-    sent = {
-        p.name: native_roundtrip_for(caller_fmt, p.type, policy)(sent[p.name])
-        for p in import_sig.sent_params
-    }
+    sent = plan.caller_send(send_codec.conform(args))
     req_buf = WIRE_BUFFERS.acquire()
     rep_buf: Optional[bytearray] = None
     request: Optional[memoryview] = None
@@ -367,116 +434,87 @@ def execute_call(
     try:
         nreq = send_codec.encode_conformed_into(sent, req_buf)
         request = memoryview(req_buf)
-        dt = env.cpu_seconds_for_bytes(caller_machine, nreq)
+        dt = caller_machine.compute_seconds(nreq * flops_per_byte)
         trace.client_cpu_s += dt
         timeline.advance(dt)
 
         # --- network: request ----------------------------------------------
         try:
-            msg = env.transport.send(
-                caller_machine,
-                callee_machine,
-                f"call:{import_sig.name}",
-                request,
-                nreq,
-                timeline=timeline,
-                header_bytes=env.costs.header_bytes,
-                deadline_s=deadline.at_s if deadline is not None else None,
+            msg = send(
+                caller_machine, callee, plan.call_kind, request, nreq,
+                timeline=timeline, header_bytes=header_bytes, deadline_s=deadline_s,
             )
         except NetworkError as exc:
             # request lost: the remote never saw the call, any procedure
             # may be safely retried
-            raise _lost(exc, retry_safe=True, hop="request") from exc
-        trace.network_s += msg.transfer_seconds
+            raise _lost(env, plan, trace, timeline, deadline, sink_trace,
+                        exc, True, "request") from exc
+        trace.network_s += msg.delivered_at - msg.sent_at
         trace.request_bytes = msg.nbytes
 
         # --- server side: unmarshal, convert to callee native, invoke -----
         # the server reads the deadline out of the message header before
         # spending any CPU: work that went late in transit is refused,
         # not computed (DeadlineExceeded, distinct from CallTimeout)
-        if msg.deadline_s is not None and timeline.now >= msg.deadline_s:
-            raise _late(f"on arrival at {callee_machine.hostname}")
-        dt = env.cpu_seconds_for_bytes(callee_machine, nreq)
+        if deadline_s is not None and timeline.now >= deadline_s:
+            raise _late(plan, trace, timeline, deadline, sink_trace,
+                        f"on arrival at {callee.hostname}")
+        dt = callee.compute_seconds(nreq * flops_per_byte)
         trace.server_cpu_s += dt
         timeline.advance(dt)
 
         # The callee sees the subset of parameters its *export* declares
         # that the import actually sent (import may be a subset of the
         # export).  It decodes the delivered body in place.
-        recv = send_codec.unmarshal(msg.body)
-        recv = {
-            name: native_roundtrip_for(
-                callee_fmt, import_sig.param_named(name).type, policy
-            )(value)
-            for name, value in recv.items()
-        }
+        recv = plan.callee_recv(send_codec.unmarshal(msg.body))
 
-        proc = record.procedure
-        if not callee_machine.up or not record.process.alive:
-            raise StaleBinding(f"{import_sig.name}: host died mid-call")
+        proc = plan.procedure
+        if not callee.up or not process.alive:
+            raise StaleBinding(f"{plan.name}: host died mid-call")
 
         kwargs = dict(recv)
-        if proc.wants_state:
-            from .procedure import STATE_ARG
-
+        if plan.wants_state:
             kwargs[STATE_ARG] = record.state_storage()
-        if proc.wants_timeline:
-            from .procedure import TIMELINE_ARG
-
+        if plan.wants_timeline:
             kwargs[TIMELINE_ARG] = timeline
         try:
             raw_result = proc.impl(**kwargs)
         except Exception as exc:
-            raise CallFailed(
-                f"{import_sig.name}: remote procedure raised {exc!r}"
-            ) from exc
+            raise CallFailed(f"{plan.name}: remote procedure raised {exc!r}") from exc
 
-        dt = callee_machine.compute_seconds(proc.cost_flops(recv))
+        dt = callee.compute_seconds(proc.cost_flops(recv))
         trace.compute_s += dt
         timeline.advance(dt)
 
-        results = _shape_results(import_sig, raw_result, recv)
-        results = conform_args(import_sig, results, "return")
-        results = {
-            p.name: native_roundtrip_for(callee_fmt, p.type, policy)(results[p.name])
-            for p in import_sig.returned_params
-        }
+        results = _shape_results(plan.sig, raw_result, recv)
+        results = plan.callee_reply(return_codec.conform(results))
         rep_buf = WIRE_BUFFERS.acquire()
         nrep = return_codec.encode_conformed_into(results, rep_buf)
         reply = memoryview(rep_buf)
-        dt = env.cpu_seconds_for_bytes(callee_machine, nrep)
+        dt = callee.compute_seconds(nrep * flops_per_byte)
         trace.server_cpu_s += dt
         timeline.advance(dt)
 
         # --- network: reply -------------------------------------------------
         try:
-            msg = env.transport.send(
-                callee_machine,
-                caller_machine,
-                f"reply:{import_sig.name}",
-                reply,
-                nrep,
-                timeline=timeline,
-                header_bytes=env.costs.header_bytes,
-                deadline_s=deadline.at_s if deadline is not None else None,
+            msg = send(
+                callee, caller_machine, plan.reply_kind, reply, nrep,
+                timeline=timeline, header_bytes=header_bytes, deadline_s=deadline_s,
             )
         except NetworkError as exc:
             # reply lost: the remote *did* execute, so only procedures
             # whose re-execution is harmless (stateless, or explicitly
             # idempotent) may be retried without double-execution risk
-            raise _lost(exc, retry_safe=record.procedure.retry_ok, hop="reply") from exc
-        trace.network_s += msg.transfer_seconds
+            raise _lost(env, plan, trace, timeline, deadline, sink_trace,
+                        exc, proc.retry_ok, "reply") from exc
+        trace.network_s += msg.delivered_at - msg.sent_at
         trace.reply_bytes = msg.nbytes
 
         # --- client side: unmarshal, store in caller-native format ---------
-        dt = env.cpu_seconds_for_bytes(caller_machine, nrep)
+        dt = caller_machine.compute_seconds(nrep * flops_per_byte)
         trace.client_cpu_s += dt
         timeline.advance(dt)
-        out = return_codec.unmarshal(msg.body)
-        out = {
-            p.name: native_roundtrip_for(caller_fmt, p.type, policy)(out[p.name])
-            for p in import_sig.returned_params
-        }
+        out = plan.caller_recv(return_codec.unmarshal(msg.body))
 
         trace.finished_at = timeline.now
         sink_trace(trace)

@@ -11,6 +11,11 @@ A :class:`ClientStub` carries the per-procedure name cache described in
 Manager; subsequent calls go straight to the cached location; and "the
 call to the old location fails, resulting in an automatic call to the
 Manager for the new information" after a migration.
+
+Each cached location carries a bound :class:`~repro.schooner.runtime.CallPlan`
+(type-check verdict, codecs, native conversion plans): it is built the
+first time a call goes to a newly installed record and reused until the
+record or the environment's range policy changes.
 """
 
 from __future__ import annotations
@@ -21,11 +26,18 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..machines.host import Machine
 from ..network.clock import Timeline
 from ..network.topology import NetworkError
-from ..uts.compiled import precompile_signature
 from ..uts.types import Signature
 from .errors import BreakerOpen, CallFailed, CallTimeout, DeadlineExceeded, StaleBinding
 from .lines import InstanceRecord, Line
-from .runtime import CallBatch, CallerContext, CallFuture, CallTrace, execute_call
+from .runtime import (
+    CallBatch,
+    CallerContext,
+    CallFuture,
+    CallPlan,
+    CallTrace,
+    bind_call,
+    execute_call,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .manager import Manager
@@ -52,11 +64,8 @@ class ClientStub:
     # dead binding before any call failed: the next call's trace still
     # records the failover
     _recovered: bool = field(default=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # stub generation time, not call time, is when the UTS plans are
-        # built — the first RPC pays no compile cost
-        precompile_signature(self.import_sig)
+    # the call plan bound to the record this stub last called
+    _plan: Optional[CallPlan] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -109,6 +118,17 @@ class ClientStub:
 
     def invalidate(self) -> None:
         self._cache = None
+        self._plan = None
+
+    def _plan_for(self, record: InstanceRecord) -> CallPlan:
+        """The call plan for ``record``: the bound one while the binding
+        and the range policy are unchanged, else a fresh binding (which
+        re-derives the import-vs-export verdict)."""
+        plan = self._plan
+        env = self.manager.env
+        if plan is None or plan.record is not record or plan.policy is not env.range_policy:
+            plan = self._plan = bind_call(env, self.caller_machine, record, self.import_sig)
+        return plan
 
     def note_failover(self) -> None:
         """Mark that this stub's binding was recovered out-of-band (by
@@ -241,6 +261,7 @@ class ClientStub:
                             dispatch=dispatch,
                             trace_sink=trace_sink,
                             deadline=deadline,
+                            plan=self._plan_for(record),
                         )
                     except StaleBinding:
                         # cache-refresh-on-failed-call: fetch the new
@@ -264,6 +285,7 @@ class ClientStub:
                             dispatch=dispatch,
                             trace_sink=trace_sink,
                             deadline=deadline,
+                            plan=self._plan_for(record),
                         )
                     if breaker is not None:
                         breaker.record_success(timeline.now)

@@ -598,7 +598,10 @@ class ShardPool:
         self._ring_bytes = ring_bytes
         self._ctx = multiprocessing.get_context(self.start_method)
         self._kills: Optional[KillSchedule] = None
-        self._broken = False
+        #: the failure that left the worker protocol unresyncable
+        #: (None while the pool is usable); chained into the error
+        #: every later send/recv raises
+        self._broken: Optional[Exception] = None
         self._procs = []
         self._conns = []
         #: parent->worker payload rings (parent writes), worker->parent
@@ -697,11 +700,11 @@ class ShardPool:
     def _check_usable(self) -> None:
         if self._closed:
             raise RuntimeError("ShardPool is closed")
-        if self._broken:
+        if self._broken is not None:
             raise RuntimeError(
                 "ShardPool is broken: a prior serve failed mid-protocol and "
                 "its workers could not be resynced — create a new pool"
-            )
+            ) from self._broken
 
     def send(self, shard: int, kind: str, payload) -> None:
         """Frame one control message to a worker (large payloads ride
@@ -769,7 +772,9 @@ class ShardPool:
                 break
         try:
             kind, reply = recv_frame(conn, ring=self._rings_in[shard])
-        except EOFError:
+        except (EOFError, OSError):
+            # a worker SIGKILLed with unread bytes in its pipe makes the
+            # kernel reset the connection: ConnectionResetError, not EOF
             raise self._crashed(shard) from None
         self._last_kind[shard] = kind
         if kind == "shard-error":
@@ -840,7 +845,7 @@ class ShardPool:
         pool is marked broken and every later
         :meth:`send`/:meth:`recv` raises clearly, rather than
         desyncing silently."""
-        if self._closed or self._broken:
+        if self._closed or self._broken is not None:
             return
         try:
             tokens: Dict[int, int] = {}
@@ -858,16 +863,19 @@ class ShardPool:
                             f"shard {w} did not settle within "
                             f"{settle_timeout_s:g}s during recovery"
                         )
-                    kind, reply = recv_frame(
-                        self._conns[w], ring=self._rings_in[w]
-                    )
+                    try:
+                        kind, reply = recv_frame(
+                            self._conns[w], ring=self._rings_in[w]
+                        )
+                    except (EOFError, OSError):
+                        raise self._crashed(w) from None
                     if kind == "shard-synced" and (
                         (reply or {}).get("token") == tokens[w]
                     ):
                         break
                     # anything else is stale in-flight traffic: discard
-        except Exception:
-            self._broken = True
+        except Exception as exc:
+            self._broken = exc
 
     def close(self) -> None:
         """Shut the pool down, releasing every OS resource it owns.

@@ -11,7 +11,7 @@ Units are SI throughout: K, Pa, kg/s, J/kg, W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,13 @@ class GasState:
         return self.W * np.sqrt(theta) / delta
 
     def with_(self, **kw) -> "GasState":
-        return replace(self, **kw)
+        """A copy with the named fields replaced: ``dataclasses.replace``
+        without its per-call field introspection (the solvers make
+        thousands of these per operating point)."""
+        return self.__class__(
+            kw.pop("W", self.W), kw.pop("Tt", self.Tt), kw.pop("Pt", self.Pt),
+            kw.pop("far", self.far), **kw,
+        )
 
     def as_dict(self) -> dict:
         return {"W": self.W, "Tt": self.Tt, "Pt": self.Pt, "far": self.far}

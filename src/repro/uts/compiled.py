@@ -11,7 +11,11 @@ encode/decode is the hot path of every simulated RPC the paper's Tables
   ``struct`` format string — a 1k-element double array encodes with one
   ``struct.pack(">1000d", *values)`` call;
 * variable-length subtrees become a flat closure list, with the type
-  dispatch resolved at compile time.
+  dispatch resolved at compile time;
+* value conformance (:func:`conform_for`) becomes a closure per type
+  whose fast path accepts only the canonical Python representation;
+  everything else goes to the reference :func:`~repro.uts.values.conform`,
+  so results and errors are the reference's by construction.
 
 Plans are cached per type (types are immutable value objects, so they
 hash), per signature+direction, and per ``(format, type, policy)`` for
@@ -25,6 +29,8 @@ from __future__ import annotations
 import math
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import UTSConversionError, UTSRangeError
 from .native import (
@@ -41,23 +47,27 @@ from .types import (
     DoubleType,
     FloatType,
     IntegerType,
+    RecordField,
     RecordType,
     Signature,
     StringType,
     UTSType,
 )
-from .values import conform_args
+from .values import INT64_MAX, INT64_MIN, _clamp_f32, conform, conform_args
 
 __all__ = [
     "CompiledCodec",
     "SignatureCodec",
     "codec_for",
+    "conform_for",
     "signature_codec",
     "precompile_signature",
     "native_roundtrip_for",
 ]
 
 _LEN = struct.Struct(">I")
+_F32 = struct.Struct(">f")
+_NP_FLOAT64 = np.float64
 
 _SCALAR_CHARS = {
     IntegerType: "q",
@@ -335,6 +345,91 @@ def codec_for(t: UTSType) -> CompiledCodec:
 
 
 # ---------------------------------------------------------------------------
+# value conformance
+# ---------------------------------------------------------------------------
+
+
+def _compile_conform(t: UTSType) -> Callable[[Any], Any]:
+    """A conform closure for ``t``.  The fast path accepts exactly the
+    canonical representation (``float`` or NumPy ``float64`` for
+    doubles, ``int`` for integers, ``list``/``tuple`` of the right
+    length, ``dict`` with exactly the field names); anything else,
+    including every value that will be rejected, is handed to the
+    reference :func:`~repro.uts.values.conform`."""
+    if isinstance(t, DoubleType):
+        def conform_double(value: Any) -> Any:
+            cls = value.__class__
+            if cls is float:
+                return value
+            if cls is _NP_FLOAT64:
+                return float(value)
+            return conform(t, value)
+
+        return conform_double
+    if isinstance(t, FloatType):
+        def conform_float(value: Any) -> Any:
+            cls = value.__class__
+            if cls is float or cls is _NP_FLOAT64:
+                return _F32.unpack(_F32.pack(_clamp_f32(float(value))))[0]
+            return conform(t, value)
+
+        return conform_float
+    if isinstance(t, (IntegerType, ByteType)):
+        lo, hi = (INT64_MIN, INT64_MAX) if isinstance(t, IntegerType) else (0, 255)
+
+        def conform_int(value: Any) -> Any:
+            if value.__class__ is int and lo <= value <= hi:
+                return value
+            return conform(t, value)
+
+        return conform_int
+    if isinstance(t, (StringType, BooleanType)):
+        canonical = str if isinstance(t, StringType) else bool
+
+        def conform_exact(value: Any) -> Any:
+            if value.__class__ is canonical:
+                return value
+            return conform(t, value)
+
+        return conform_exact
+    if isinstance(t, ArrayType):
+        elem = conform_for(t.element)
+        n = t.length
+
+        def conform_array(value: Any) -> Any:
+            cls = value.__class__
+            if (cls is list or cls is tuple) and len(value) == n:
+                return [elem(v) for v in value]
+            return conform(t, value)
+
+        return conform_array
+    if isinstance(t, RecordType):
+        subs = tuple((f.name, conform_for(f.type)) for f in t.fields)
+        names = frozenset(f.name for f in t.fields)
+
+        def conform_record(value: Any) -> Any:
+            if value.__class__ is dict and value.keys() == names:
+                return {name: fn(value[name]) for name, fn in subs}
+            return conform(t, value)
+
+        return conform_record
+    return lambda value: conform(t, value)  # raises: unsupported type
+
+
+_CONFORMERS: Dict[UTSType, Callable[[Any], Any]] = {}
+
+
+def conform_for(t: UTSType) -> Callable[[Any], Any]:
+    """The compiled conform for ``t``: value-for-value and
+    exception-for-exception equal to ``conform(t, value)`` (checked by
+    :mod:`repro.uts.conformance`)."""
+    fn = _CONFORMERS.get(t)
+    if fn is None:
+        fn = _CONFORMERS[t] = _compile_conform(t)
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # signature (argument list) codecs
 # ---------------------------------------------------------------------------
 
@@ -345,9 +440,15 @@ class SignatureCodec:
     Drop-in equivalent of :func:`repro.uts.wire.marshal_args` /
     :func:`~repro.uts.wire.unmarshal_args` for a fixed
     ``(signature, direction)``.
+
+    ``params`` are the direction's parameters; ``record_type`` is the
+    same list as a UTS record (one field per parameter, in order), the
+    type a whole argument dict has — so one native round-trip plan
+    (:func:`native_roundtrip_for`) converts every argument of a call.
     """
 
-    __slots__ = ("signature", "direction", "_params")
+    __slots__ = ("signature", "direction", "params", "record_type", "_params",
+                 "_conform")
 
     def __init__(self, sig: Signature, direction: str):
         if direction not in ("send", "return"):  # pragma: no cover
@@ -355,13 +456,27 @@ class SignatureCodec:
         self.signature = sig
         self.direction = direction
         params = sig.sent_params if direction == "send" else sig.returned_params
+        self.params = params
+        self.record_type = RecordType(tuple(RecordField(p.name, p.type) for p in params))
         self._params = tuple((p.name, codec_for(p.type)) for p in params)
+        expected = frozenset(p.name for p in params)
+        subs = tuple((p.name, conform_for(p.type)) for p in params)
+
+        def conform_sig(args: Dict[str, Any]) -> Dict[str, Any]:
+            if args.keys() != expected:
+                return conform_args(sig, args, direction)  # raises
+            return {name: fn(args[name]) for name, fn in subs}
+
+        self._conform = conform_sig
+
+    def conform(self, args: Dict[str, Any]) -> Dict[str, Any]:
+        """Compiled :func:`~repro.uts.values.conform_args` for this
+        signature and direction: same values, same errors."""
+        return self._conform(args)
 
     def marshal(self, args: Dict[str, Any]) -> bytes:
         """Conform and encode; equivalent to ``marshal_args``."""
-        return self.encode_conformed(
-            conform_args(self.signature, args, self.direction)
-        )
+        return self.encode_conformed(self._conform(args))
 
     def encode_conformed(self, args: Dict[str, Any]) -> bytes:
         """Encode arguments already in canonical form (skips the second
@@ -407,8 +522,9 @@ def signature_codec(sig: Signature, direction: str) -> SignatureCodec:
 
 
 def precompile_signature(sig: Signature) -> None:
-    """Warm both directions' codecs so the first RPC does not pay the
-    compile cost on the simulated hot path (client stubs call this)."""
+    """Warm both directions' codecs ahead of the first call (binding a
+    call plan, :func:`repro.schooner.runtime.bind_call`, builds them on
+    demand otherwise)."""
     signature_codec(sig, "send")
     signature_codec(sig, "return")
 
@@ -417,12 +533,38 @@ def precompile_signature(sig: Signature) -> None:
 # native round-trip plans
 # ---------------------------------------------------------------------------
 
-_F32 = struct.Struct(">f")
 _F32_LIMIT = 3.4028235677973366e38  # mirrors IEEEFormat.pack_float32
 
 
 def _identity(value: Any) -> Any:
     return value
+
+
+_CRAY_ONE = 1 << 48  # the Cray mantissa scale (48 explicit bits)
+
+
+def _cray_roundtrip(pack, unpack, policy: OutOfRangePolicy) -> Callable[[Any], Any]:
+    """A Cray word round trip.  A finite nonzero double keeps its
+    exponent and rounds its mantissa to 48 bits, which is what
+    ``CrayFormat``'s pack/unpack compute through the 64-bit word; zeros,
+    infinities, NaN and results beyond IEEE range take that reference
+    path, which raises or clamps under ``policy``."""
+
+    def native_cray(value: Any) -> Any:
+        if value == 0.0 or value != value or math.isinf(value):
+            return unpack(pack(value, policy), policy)
+        m, e = math.frexp(abs(value))
+        mant = round(m * _CRAY_ONE)
+        if mant >= _CRAY_ONE:  # rounding carried out of the top
+            mant >>= 1
+            e += 1
+        try:
+            magnitude = math.ldexp(mant / _CRAY_ONE, e)
+        except OverflowError:
+            return unpack(pack(value, policy), policy)
+        return -magnitude if value < 0 else magnitude
+
+    return native_cray
 
 
 def _compile_native(
@@ -475,6 +617,8 @@ def _compile_native(
 
             return native_f32
         pack32, unpack32 = fmt.pack_float32, fmt.unpack_float32
+        if type(fmt) is CrayFormat:  # Cray single is the same 64-bit word
+            return _cray_roundtrip(pack32, unpack32, policy)
 
         def native_f32_generic(value: Any) -> Any:
             return unpack32(pack32(value, policy), policy)
@@ -485,6 +629,8 @@ def _compile_native(
             # struct '>d' pack+unpack is exact for every Python float
             return _identity
         pack64, unpack64 = fmt.pack_float64, fmt.unpack_float64
+        if type(fmt) is CrayFormat:
+            return _cray_roundtrip(pack64, unpack64, policy)
 
         def native_f64_generic(value: Any) -> Any:
             return unpack64(pack64(value, policy), policy)

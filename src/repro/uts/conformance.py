@@ -11,7 +11,10 @@ patterns via :meth:`CrayFormat.raw` / :meth:`VAXFormat.raw`) through
 * every native format of the machine park × both out-of-range policies,
 * the wire codec (the reference: lossless and signed-zero preserving),
 * the compiled fast path (:mod:`repro.uts.compiled`) against the
-  interpretive reference implementations,
+  interpretive reference implementations — codecs, native plans, and
+  compiled value conformance (:func:`~repro.uts.compiled.conform_for`
+  and the per-signature :meth:`SignatureCodec.conform`) on conformable
+  *and* non-conformable inputs,
 
 and cross-checks the outcomes against the documented semantics table in
 ``docs/CODECS.md``.  Key invariants:
@@ -26,7 +29,10 @@ and cross-checks the outcomes against the documented semantics table in
   below ``2**-128``; Cray round-trips raise (or clamp to ±inf) from
   ``(1 - 2**-49) * 2**1024`` upward;
 * compiled codecs agree with the interpretive codecs byte-for-byte,
-  value-for-value, and exception-for-exception.
+  value-for-value, and exception-for-exception;
+* compiled conform agrees with :func:`~repro.uts.values.conform` (and
+  with :func:`~repro.uts.values.conform_args` per signature)
+  value-for-value and exception-for-exception, message included.
 
 Checks return a list of discrepancy strings (empty = conformant), so
 pytest and the CLI smoke runner (``python -m repro.uts.conformance``)
@@ -46,7 +52,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ..machines.arch import ALL_NATIVE_FORMATS
-from .compiled import codec_for, native_roundtrip_for, signature_codec
+import numpy as np
+
+from .compiled import codec_for, conform_for, native_roundtrip_for, signature_codec
 from .errors import UTSConversionError, UTSError, UTSRangeError
 from .native import (
     CrayFormat,
@@ -64,11 +72,14 @@ from .types import (
     INTEGER,
     STRING,
     ArrayType,
+    ParamMode,
+    Parameter,
     RecordField,
     RecordType,
+    Signature,
     UTSType,
 )
-from .values import conform, identical
+from .values import conform, conform_args, identical
 from .wire import decode_value, encode_value, encoded_size
 
 __all__ = [
@@ -78,11 +89,13 @@ __all__ = [
     "check_native_float",
     "check_wire_value",
     "check_compiled_equivalence",
+    "check_compiled_conform",
     "check_cray_raw",
     "check_vax_raw",
     "conformance_doubles",
     "uts_types",
     "value_for",
+    "raw_values_for",
     "typed_values",
     "cray_raw_fields",
     "vax_raw_fields",
@@ -335,6 +348,61 @@ def check_compiled_equivalence(t: UTSType, value: Any) -> List[str]:
     return issues
 
 
+def _conform_outcome(fn: Callable, *args: Any) -> Tuple[Any, ...]:
+    """Like :func:`_outcome`, but any exception counts and its message
+    is part of the outcome: conform errors are user-facing."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return ("raise", type(exc), str(exc))
+
+
+def _same_shape(a: Any, b: Any) -> bool:
+    """Same Python container and scalar types all the way down (a
+    canonical array is a ``list``, never a tuple)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_shape(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_shape(a[k], b[k]) for k in a)
+    return True
+
+
+def _compare_conform(what: str, t: UTSType, ref: Tuple, got: Tuple) -> List[str]:
+    if ref[0] != got[0] or (ref[0] == "raise" and ref[1:] != got[1:]):
+        return [f"{what} disagrees with the reference for {t.describe()}: {ref} vs {got}"]
+    if ref[0] == "value" and not (
+        _same_shape(ref[1], got[1]) and identical(t, ref[1], got[1])
+    ):
+        return [f"{what} value differs for {t.describe()}: {ref[1]!r} vs {got[1]!r}"]
+    return []
+
+
+def check_compiled_conform(t: UTSType, value: Any) -> List[str]:
+    """Compiled conform must agree with the reference ``conform(t,
+    value)`` for *any* ``value`` — the same canonical value (bit-level,
+    Python types included) or the same exception type and message.  A
+    record type is also checked as a signature (one ``val`` parameter
+    per field): :meth:`SignatureCodec.conform` against ``conform_args``."""
+    issues = _compare_conform(
+        "compiled conform", t,
+        _conform_outcome(conform, t, value),
+        _conform_outcome(conform_for(t), value),
+    )
+    if isinstance(t, RecordType):
+        sig = Signature(
+            "conformance",
+            tuple(Parameter(f.name, ParamMode.VAL, f.type) for f in t.fields),
+        )
+        issues += _compare_conform(
+            "compiled signature conform", t,
+            _conform_outcome(conform_args, sig, value, "send"),
+            _conform_outcome(signature_codec(sig, "send").conform, value),
+        )
+    return issues
+
+
 # ---------------------------------------------------------------------------
 # raw bit patterns (values a Python float cannot express)
 # ---------------------------------------------------------------------------
@@ -504,8 +572,66 @@ def value_for(t: UTSType) -> st.SearchStrategy[Any]:
     raise AssertionError(t)  # pragma: no cover
 
 
+#: values of the wrong shape for any UTS type
+_WRONG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(),
+    st.text(max_size=3),
+    st.binary(max_size=2),
+    st.lists(st.integers(min_value=-3, max_value=300), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def raw_values_for(t: UTSType) -> st.SearchStrategy[Any]:
+    """Inputs a caller might hand to conform for type ``t``: conformable
+    values, NumPy and tuple spellings of them, near misses (wrong
+    length, missing or extra record fields) and plainly wrong values."""
+    options = [value_for(t), _WRONG_VALUES]
+    if t in (FLOAT, DOUBLE):
+        options += [
+            st.floats(width=64).map(np.float64),
+            st.floats(width=32).map(np.float32),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+        ]
+    elif t in (INTEGER, BYTE):
+        options += [
+            st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+            st.binary(min_size=1, max_size=1),
+        ]
+    elif t == BOOLEAN:
+        options.append(st.booleans().map(np.bool_))
+    elif isinstance(t, ArrayType):
+        n = t.length
+        elem = raw_values_for(t.element)
+        options += [
+            st.lists(elem, min_size=n, max_size=n),
+            st.lists(elem, min_size=n, max_size=n).map(tuple),
+            st.lists(value_for(t.element), min_size=max(0, n - 1), max_size=n + 1),
+            st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+            st.just(np.zeros((1, max(1, n)))),
+        ]
+    elif isinstance(t, RecordType):
+        fields = {f.name: raw_values_for(f.type) for f in t.fields}
+        options += [
+            st.fixed_dictionaries(fields),
+            st.fixed_dictionaries(fields).map(lambda d: dict(list(d.items())[1:])),
+            st.fixed_dictionaries(fields).map(lambda d: {**d, "zz_extra": 0}),
+        ]
+    return st.one_of(*options)
+
+
 def typed_values() -> st.SearchStrategy[Tuple[UTSType, Any]]:
     return uts_types().flatmap(lambda t: st.tuples(st.just(t), value_for(t)))
+
+
+def typed_inputs() -> st.SearchStrategy[Tuple[UTSType, Any, Any]]:
+    """A type, a conformable value of it, and an arbitrary conform input."""
+    return uts_types().flatmap(
+        lambda t: st.tuples(st.just(t), value_for(t), raw_values_for(t))
+    )
 
 
 def cray_raw_fields() -> st.SearchStrategy[Tuple[int, int, int]]:
@@ -560,11 +686,14 @@ def run(max_examples: int = 200, verbose: bool = False) -> dict:
         _assert_clean(issues)
 
     @config
-    @given(typed_values())
-    def structured_values(tv):
-        t, v = tv
+    @given(typed_inputs())
+    def structured_values(tvr):
+        t, v, raw = tvr
+        issues = check_compiled_conform(t, v) + check_compiled_conform(t, raw)
         v = conform(t, v)
-        _assert_clean(check_wire_value(t, v) + check_compiled_equivalence(t, v))
+        _assert_clean(
+            issues + check_wire_value(t, v) + check_compiled_equivalence(t, v)
+        )
 
     @config
     @given(cray_raw_fields())

@@ -12,6 +12,7 @@ hold many declarations (the shaft example exports both ``setshaft`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import UTSCompatibilityError, UTSError
@@ -29,7 +30,10 @@ class SpecFile:
 
     @classmethod
     def parse(cls, source: str) -> "SpecFile":
-        return cls(tuple(parse_spec(source)))
+        """Parse spec-language source.  The declarations are immutable
+        and memoised per source text; every call returns a fresh
+        ``SpecFile`` around them."""
+        return cls(_parse_declarations(source))
 
     @classmethod
     def load(cls, path) -> "SpecFile":
@@ -77,6 +81,11 @@ class SpecFile:
         return "\n\n".join(
             f"{d.direction} {render_signature(d.signature)}" for d in self.declarations
         )
+
+
+@lru_cache(maxsize=256)
+def _parse_declarations(source: str) -> Tuple[Declaration, ...]:
+    return tuple(parse_spec(source))
 
 
 def render_signature(sig: Signature) -> str:

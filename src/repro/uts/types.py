@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Tuple
 
 from .errors import UTSCompatibilityError, UTSTypeError
@@ -211,12 +212,14 @@ class Signature:
         if len(set(names)) != len(names):
             raise UTSTypeError(f"duplicate parameter names in {self.name}: {names}")
 
-    @property
+    # computed once per signature: the per-call paths (conform, result
+    # shaping) read them on every RPC
+    @cached_property
     def sent_params(self) -> Tuple[Parameter, ...]:
         """Parameters carried caller -> callee (val and var)."""
         return tuple(p for p in self.params if p.mode.sends)
 
-    @property
+    @cached_property
     def returned_params(self) -> Tuple[Parameter, ...]:
         """Parameters carried callee -> caller (res and var)."""
         return tuple(p for p in self.params if p.mode.returns)

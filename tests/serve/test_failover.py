@@ -237,6 +237,78 @@ class TestSupervision:
             pool.close()
 
 
+class TestConnectionReset:
+    """A worker SIGKILLed with unread bytes in its pipe makes the kernel
+    reset the connection, so the parent's read raises
+    ``ConnectionResetError`` rather than ``EOFError``.  Both reads at
+    the shard boundary (``recv`` and ``recover``'s drain) must turn that
+    into the typed autopsy.  The reset is injected deterministically:
+    the patched ``recv_frame`` kills the worker, then raises."""
+
+    @staticmethod
+    def _resetting_recv_frame(monkeypatch, pool, resets=1):
+        import repro.serve.shards as shards_mod
+
+        real = shards_mod.recv_frame
+        left = [resets]
+
+        def recv_frame(conn, *args, **kwargs):
+            if left[0] > 0 and conn in pool._conns:
+                left[0] -= 1
+                _kill(pool._procs[pool._conns.index(conn)])
+                raise ConnectionResetError(104, "Connection reset by peer")
+            return real(conn, *args, **kwargs)
+
+        monkeypatch.setattr(shards_mod, "recv_frame", recv_frame)
+        return left
+
+    def test_reset_in_recv_raises_typed_crash(self, monkeypatch):
+        pool = ShardPool(1)
+        try:
+            pool.send(0, "shard-open", dict(_BARE_OPEN))
+            pool.send(0, "shard-close", None)
+            deadline = time.monotonic() + 10
+            while not pool._conns[0].poll(0.05):
+                assert time.monotonic() < deadline, "no close reply"
+            left = self._resetting_recv_frame(monkeypatch, pool)
+            with pytest.raises(ShardCrashed) as exc:
+                pool.recv(0, "shard-closed", timeout_s=10.0)
+            assert left == [0]  # the reset path, not the sentinel path
+            assert exc.value.shard == 0
+            assert exc.value.exitcode == -signal.SIGKILL
+            assert exc.value.last_kind == "shard-close"
+        finally:
+            pool.close()
+
+    def test_reset_in_recover_drain_marks_pool_broken_with_autopsy(
+        self, monkeypatch
+    ):
+        pool = ShardPool(1)
+        try:
+            self._resetting_recv_frame(monkeypatch, pool)
+            pool.recover([0])
+            with pytest.raises(RuntimeError, match="broken") as exc:
+                pool.send(0, "shard-close", None)
+            assert isinstance(exc.value.__cause__, ShardCrashed)
+            assert exc.value.__cause__.exitcode == -signal.SIGKILL
+        finally:
+            pool.close()
+
+    def test_reset_mid_serve_heals_to_inline_digests(self, monkeypatch):
+        specs = build_session_specs(4, classes=2, points=2)
+        base = _rows(serve_sessions_sharded(specs, workers=0))
+        with ShardPool(2) as pool:
+            left = self._resetting_recv_frame(monkeypatch, pool)
+            healed = serve_sessions_sharded(specs, workers=2, pool=pool)
+            assert left == [0]
+        assert _rows(healed) == base
+        assert sum(r["crashes"] for r in healed.shard_rows) == 1
+        (exitcode,) = [
+            code for r in healed.shard_rows for code in r.get("crash_exitcodes", ())
+        ]
+        assert exitcode == -signal.SIGKILL
+
+
 class TestLeakRegression:
     @needs_shm
     def test_killed_worker_leaves_no_shm_segments_or_threads(self):

@@ -9,16 +9,31 @@ repro.uts.conformance``).
 import math
 import sys
 
+import numpy as np
 import pytest
 
+import repro.uts.conformance as conformance_mod
 from repro.machines.arch import ALL_NATIVE_FORMATS
-from repro.uts import DOUBLE, STRING, ArrayType, CrayFormat, RecordType, VAXFormat, conform
+from repro.uts import (
+    BOOLEAN,
+    BYTE,
+    DOUBLE,
+    FLOAT,
+    INTEGER,
+    STRING,
+    ArrayType,
+    CrayFormat,
+    RecordType,
+    VAXFormat,
+    conform,
+)
 from repro.uts.conformance import (
     CRAY_OVERFLOW,
     VAX_FLUSH,
     VAX_MAX,
     VAX_OVERFLOW,
     ConformanceFailure,
+    check_compiled_conform,
     check_compiled_equivalence,
     check_cray_raw,
     check_native_float,
@@ -102,6 +117,39 @@ class TestStructuredChecks:
         t = ArrayType(2, RecordType.of(x=DOUBLE))
         v = conform(t, [{"x": -0.0}, {"x": math.inf}])
         assert check_wire_value(t, v) == []
+
+
+#: conform inputs across the canonical/non-canonical boundary: exact
+#: Python types, bool-vs-int, NumPy scalars and arrays, tuples, wrong
+#: lengths, missing and extra record fields, range edges
+_CONFORM_INPUTS = (
+    True, False, 0, 1, -1, 255, 256, 2**63 - 1, 2**63, -(2**63) - 1,
+    1.5, -0.0, float("nan"), math.inf, 3.5e38, 5e-324,
+    np.float64(2.5), np.float32(1.5), np.int64(7), np.bool_(True),
+    "s", "", b"x", b"xy", None,
+    [1.0, 2.0], (1.0, 2.0), [1.0], [True, 2.0], np.array([1.0, 2.0]),
+    np.zeros((1, 2)), {"a": 1, "b": 2.0}, {"a": 1}, {"a": 1, "b": 2.0, "c": 3},
+    {"a": True, "b": 2.0}, {1: 1, "b": 2.0},
+)
+_CONFORM_TYPES = (
+    INTEGER, FLOAT, DOUBLE, BYTE, STRING, BOOLEAN,
+    ArrayType(2, DOUBLE), ArrayType(2, FLOAT),
+    RecordType.of(a=INTEGER, b=FLOAT),
+)
+
+
+class TestCompiledConform:
+    @pytest.mark.parametrize("t", _CONFORM_TYPES, ids=lambda t: t.describe())
+    def test_matches_reference_on_edge_inputs(self, t):
+        for value in _CONFORM_INPUTS:
+            assert check_compiled_conform(t, value) == [], value
+
+    def test_check_catches_a_lenient_conform(self, monkeypatch):
+        # sanity: a compiled conform that accepts anything is flagged
+        monkeypatch.setattr(conformance_mod, "conform_for", lambda t: lambda v: v)
+        assert check_compiled_conform(INTEGER, True) != []
+        assert check_compiled_conform(DOUBLE, np.float64(1.0)) != []
+        assert check_compiled_conform(ArrayType(2, DOUBLE), (1.0, 2.0)) != []
 
 
 class TestRunner:

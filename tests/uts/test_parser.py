@@ -117,6 +117,21 @@ class TestParseShaftSpec:
         ]
         assert [p.name for p in sig.returned_params] == ["dxspl"]
 
+    def test_parse_is_memoised_but_returns_a_fresh_spec_file(self):
+        """Re-parsing the same text reuses the immutable declarations,
+        yet every call gets its own SpecFile: rebinding one's
+        declarations cannot leak into another caller's."""
+        a = SpecFile.parse(SHAFT_SPEC)
+        b = SpecFile.parse(SHAFT_SPEC)
+        assert a is not b
+        assert a.declarations is b.declarations
+        a.declarations = a.declarations[:1]
+        assert len(SpecFile.parse(SHAFT_SPEC).declarations) == 2
+        assert len(b.declarations) == 2
+        for _ in range(2):  # a failed parse is not memoised into success
+            with pytest.raises(UTSSyntaxError):
+                SpecFile.parse(SHAFT_SPEC + " export")
+
     def test_import_spec_is_flipped_export(self):
         spec = SpecFile.parse(SHAFT_SPEC)
         imports = spec.as_imports()
