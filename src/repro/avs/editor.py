@@ -121,18 +121,34 @@ class NetworkEditor:
                         f"{dst_name}.{in_port} is already connected "
                         f"(from {conn.src}.{conn.out_port})"
                     )
+        # the graph is acyclic, so the new wire closes a cycle exactly
+        # when dst already reaches src (a self-loop: dst is src)
+        if self._reaches(dst_name, src_name):
+            raise NetworkEditError(
+                f"connecting {src_name}.{out_port} -> {dst_name}.{in_port} "
+                f"would create a cycle"
+            )
         conn = Connection(src=src_name, out_port=out_port, dst=dst_name, in_port=in_port)
         if self._graph.has_edge(src_name, dst_name):
             self._graph[src_name][dst_name]["connections"].append(conn)
         else:
             self._graph.add_edge(src_name, dst_name, connections=[conn])
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._disconnect(conn)
-            raise NetworkEditError(
-                f"connecting {src_name}.{out_port} -> {dst_name}.{in_port} "
-                f"would create a cycle"
-            )
         return conn
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a path of wires leads from ``start`` to ``goal`` (a
+        depth-first walk of the successors; ``start`` reaches itself)."""
+        successors = self._graph.successors
+        seen, stack = {start}, [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                return True
+            for nxt in successors(node):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     def _disconnect(self, conn: Connection) -> None:
         data = self._graph[conn.src][conn.dst]

@@ -18,7 +18,8 @@ added ``double`` to UTS for exactly this class of need (§4.1).
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import cache
+from typing import Dict, Tuple
 
 from ..machines.fortran import Language
 from ..schooner.procedure import Executable, Procedure
@@ -265,11 +266,20 @@ _BUILDERS = {
 }
 
 
+@cache
+def _tess_executables() -> Tuple[Tuple[str, Executable], ...]:
+    """The four executables with their paths, built once per process.
+
+    Their procedures hold no per-session state (an instance's state is
+    the ``_state`` dict the runtime passes), so every park and every
+    session can share them; the Procedure objects then stay the same
+    for the process's lifetime, and so does everything keyed on them."""
+    return tuple((REMOTE_PATHS[kind], builder()) for kind, builder in _BUILDERS.items())
+
+
 def install_tess_executables(park) -> None:
     """Install the four adapted-module executables on every machine in
     the park — the simulated equivalent of building them everywhere."""
-    for kind, builder in _BUILDERS.items():
-        exe = builder()
-        path = REMOTE_PATHS[kind]
+    for path, exe in _tess_executables():
         for machine in park:
             machine.install(path, exe)

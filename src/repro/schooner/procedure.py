@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..machines.arch import Architecture
@@ -30,27 +31,6 @@ STATE_ARG = "_state"
 TIMELINE_ARG = "_timeline"
 
 FlopsModel = Union[float, Callable[[Dict[str, Any]], float]]
-
-
-def _param_names(impl: Callable[..., Any]) -> frozenset:
-    """The implementation's parameter names, cached per function object —
-    ``inspect.signature`` is far too slow to re-run on every call."""
-    try:
-        return _PARAM_CACHE[impl]
-    except (KeyError, TypeError):
-        pass
-    try:
-        names = frozenset(inspect.signature(impl).parameters)
-    except (TypeError, ValueError):  # builtins etc.
-        names = frozenset()
-    try:
-        _PARAM_CACHE[impl] = names
-    except TypeError:  # unhashable callable
-        pass
-    return names
-
-
-_PARAM_CACHE: Dict[Callable[..., Any], frozenset] = {}
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,17 @@ class Procedure:
         return self._has_param(TIMELINE_ARG)
 
     def _has_param(self, name: str) -> bool:
-        return name in _param_names(self.impl)
+        return name in self._param_names
+
+    @cached_property
+    def _param_names(self) -> frozenset:
+        """The implementation's parameter names, computed once per
+        procedure — ``inspect.signature`` is far too slow to re-run on
+        every binding — and freed with it."""
+        try:
+            return frozenset(inspect.signature(self.impl).parameters)
+        except (TypeError, ValueError):  # builtins etc.
+            return frozenset()
 
     def cost_flops(self, args: Dict[str, Any]) -> float:
         if callable(self.flops):

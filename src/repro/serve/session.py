@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.executive import NPSSExecutive
+from ..faults.demo import trace_digest
 from ..faults.plan import FaultPlan
 from ..tess.atmosphere import FlightCondition
 from ..tess.opkey import combine_keys, context_key, deck_key, flight_key
@@ -33,15 +34,8 @@ from .installation import SessionRecord, SharedInstallation
 __all__ = ["TABLE2_PLACEMENT", "SessionSpec", "SessionContext", "SessionResult", "trace_digest"]
 
 
-def trace_digest(traces) -> str:
-    """SHA-256 over the serialized call traces — the replay-identity
-    witness (same serialization as :func:`repro.faults.demo.trace_digest`;
-    process-global counters like pids and instance ids are deliberately
-    not part of a trace, which is what makes digests comparable across
-    co-resident sessions and solo replays)."""
-    from ..faults.demo import trace_digest as _digest
-
-    return _digest(traces)
+#: the digest of a session that ran no calls (a shed session)
+EMPTY_TRACE_DIGEST = trace_digest(())
 
 
 #: Table 2's all-remote placement of the F100 network's adapted modules,
@@ -559,7 +553,7 @@ class SessionContext:
             results=[],
             transient=None,
             virtual_s=0.0,
-            digest=trace_digest([]),
+            digest=EMPTY_TRACE_DIGEST,
             traces=0,
             messages=0,
             payload_bytes=0,

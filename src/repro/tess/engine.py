@@ -131,6 +131,12 @@ class TransientResult:
         return float(self.n1[-1]), float(self.n2[-1])
 
 
+#: sized designs by ``repr(spec)`` (see
+#: :meth:`TwinSpoolTurbofan._run_design_closure`); cleared when full
+_DESIGNS: Dict[str, tuple] = {}
+_DESIGNS_MAX = 256
+
+
 class TwinSpoolTurbofan:
     """A sized, solvable engine."""
 
@@ -194,8 +200,29 @@ class TwinSpoolTurbofan:
 
     # ------------------------------------------------------------------ design
     def _run_design_closure(self) -> None:
+        """Install the sized design (see :meth:`_size_design`) for this
+        engine's spec.
+
+        Sizing is a pure function of the frozen spec and every part it
+        sizes is frozen, so one sizing per spec serves every engine of
+        the process.  The memo is keyed on ``repr(spec)``: specs that
+        compare equal without being identical (``0.0``/``-0.0``, ``1``/
+        ``1.0``) never share an entry."""
+        key = repr(self.spec)
+        design = _DESIGNS.get(key)
+        if design is None:
+            if len(_DESIGNS) >= _DESIGNS_MAX:
+                _DESIGNS.clear()
+            design = _DESIGNS[key] = self._size_design()
+        (self.hpc, self.hpt, self.lpt, self.duct_mixer, self.duct_bypass,
+         self.nozzle, design_x, self._design_core_flow) = design
+        self._design_x = design_x.copy()
+
+    def _size_design(self) -> tuple:
         """Size turbines, nozzle, mixer-duct loss, and scale the HPC map
-        so the design point is an exact balance root."""
+        so the design point is an exact balance root.  Returns ``(hpc,
+        hpt, lpt, duct_mixer, duct_bypass, nozzle, design_x,
+        design_core_flow)``."""
         spec = self.spec
         fc = FlightCondition(altitude_m=0.0, mach=0.0)
         amb = fc.ambient()
@@ -207,43 +234,41 @@ class TwinSpoolTurbofan:
         core, bypass = self.splitter.split(fan_op.state_out, spec.bypass_ratio_design)
         core = self.duct_core.run(core)
         core, _ = self.bleed.run(core)
-        self._design_core_flow = core.W
         # scale the HPC map so its design corrected flow equals the core's,
         # and reference its corrected speed to the design inlet temperature
         raw_map = load_map(spec.hpc_map)
-        self.hpc = Compressor(
+        hpc = Compressor(
             map=replace(raw_map, wc_design=core.corrected_flow), t_ref=core.Tt
         )
-        hpc_op = self.hpc.operate(core, 1.0, 0.5)
+        hpc_op = hpc.operate(core, 1.0, 0.5)
         burned = self.burner.burn(hpc_op.state_out, spec.wf_design)
         # HPT sized: choked at the design burner-exit corrected flow and
         # delivering exactly the HPC demand
         hpt = Turbine(efficiency=spec.hpt_efficiency).sized(burned.corrected_flow)
         p_hpt = hpc_op.power_W / spec.mech_efficiency
         hpt_op = hpt.expand_to_power(burned, p_hpt)
-        self.hpt = hpt
         # LPT likewise for the fan demand
         lpt = Turbine(efficiency=spec.lpt_efficiency).sized(hpt_op.state_out.corrected_flow)
         p_lpt = fan_op.power_W / spec.mech_efficiency
         lpt_op = lpt.expand_to_power(hpt_op.state_out, p_lpt)
-        self.lpt = lpt
         # equalize the mixing plane: put the adjustable loss on whichever
         # side runs higher at design
         pt_core, pt_byp = lpt_op.state_out.Pt, bypass.Pt
         if pt_core >= pt_byp:
-            self.duct_mixer = Duct(dpqp=1.0 - pt_byp / pt_core)
-            self.duct_bypass = Duct(dpqp=0.0)
+            duct_mixer = Duct(dpqp=1.0 - pt_byp / pt_core)
+            duct_bypass = Duct(dpqp=0.0)
         else:
-            self.duct_mixer = Duct(dpqp=0.0)
-            self.duct_bypass = Duct(dpqp=1.0 - pt_core / pt_byp)
-        core_exit = self.duct_mixer.run(lpt_op.state_out)
-        byp_exit = self.duct_bypass.run(bypass)
+            duct_mixer = Duct(dpqp=0.0)
+            duct_bypass = Duct(dpqp=1.0 - pt_core / pt_byp)
+        core_exit = duct_mixer.run(lpt_op.state_out)
+        byp_exit = duct_bypass.run(bypass)
         mixed = self.augmentor.burn(self.mixer.mix(core_exit, byp_exit), 0.0)
-        self.nozzle = ConvergentNozzle(cd=spec.nozzle_cd).sized_for(mixed, amb.Ps)
-        self._design_x = np.array(
+        nozzle = ConvergentNozzle(cd=spec.nozzle_cd).sized_for(mixed, amb.Ps)
+        design_x = np.array(
             [0.5, 0.5, spec.bypass_ratio_design,
              hpt_op.pressure_ratio, lpt_op.pressure_ratio]
         )
+        return (hpc, hpt, lpt, duct_mixer, duct_bypass, nozzle, design_x, core.W)
 
     @property
     def design_x(self) -> np.ndarray:

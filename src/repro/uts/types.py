@@ -42,6 +42,34 @@ __all__ = [
 ]
 
 
+def _hash_once(cls):
+    """Class decorator over a frozen dataclass: its field hash walks the
+    whole type tree, and binding looks types and signatures up in codec
+    tables constantly, so compute it once per object.
+
+    The cached value is left out of pickles and copies: a process with
+    another ``PYTHONHASHSEED`` hashes the names differently and must
+    compute its own."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True)
 class UTSType:
     """Base class for all UTS types."""
@@ -111,6 +139,7 @@ STRING = StringType()
 BOOLEAN = BooleanType()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ArrayType(UTSType):
     """A fixed-length homogeneous array, ``array[N] of T``."""
@@ -126,6 +155,7 @@ class ArrayType(UTSType):
         return f"array[{self.length}] of {self.element.describe()}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RecordField:
     """One named field of a record type."""
@@ -134,6 +164,7 @@ class RecordField:
     type: UTSType
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RecordType(UTSType):
     """A record (struct) with named, ordered fields."""
@@ -183,6 +214,7 @@ class ParamMode(Enum):
         return self in (ParamMode.RES, ParamMode.VAR)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Parameter:
     """A named, moded, typed procedure parameter."""
@@ -195,6 +227,7 @@ class Parameter:
         return f'"{self.name}" {self.mode.value} {self.type.describe()}'
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Signature:
     """A procedure signature: the payload of an export or import spec.

@@ -1,10 +1,14 @@
 """Tests for AVS modules, the Network Editor, and the dataflow scheduler."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.avs import (
     AVSModule,
     ComputeError,
+    Connection,
     ControlPanel,
     DataflowScheduler,
     Dial,
@@ -151,6 +155,102 @@ class TestEditor:
         conn = [c for c in editor.connections if c.dst == "adder.1" and c.in_port == "a"][0]
         editor.disconnect(conn)
         assert conn not in editor.connections
+
+
+class Hub(AVSModule):
+    """Several input ports, so one pair of modules can carry parallel
+    wires (and a module can wire its output to its own input)."""
+
+    module_name = "hub"
+
+    def spec(self):
+        for i in range(HUB_PORTS):
+            self.add_input_port(f"i{i}", "number")
+        self.add_output_port("out", "number")
+
+    def compute(self, **inputs):
+        return {"out": 0.0}
+
+
+HUB_PORTS = 3
+HUB_MODULES = 5
+
+_edit = st.one_of(
+    st.tuples(
+        st.just("connect"),
+        st.integers(0, HUB_MODULES - 1),
+        st.integers(0, HUB_MODULES - 1),
+        st.integers(0, HUB_PORTS - 1),
+    ),
+    st.tuples(st.just("disconnect"), st.integers(0, 10**6)),
+)
+
+
+def _wiring(editor):
+    """Everything a rejected edit must leave alone: the wires in order
+    and the graph's nodes, edges and per-edge connection lists."""
+    return (
+        editor.connections,
+        tuple(editor.graph.nodes),
+        tuple((u, v, tuple(d["connections"])) for u, v, d in editor.graph.edges(data=True)),
+    )
+
+
+class TestWiringAgainstNetworkx:
+    """Random connect/disconnect sequences, with a networkx acyclicity
+    check of the wires the editor should hold as the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_edit, max_size=40))
+    def test_connect_accepts_exactly_the_acyclic_wirings(self, edits):
+        editor = NetworkEditor()
+        names = [editor.add_module(Hub()).instance_name for _ in range(HUB_MODULES)]
+        wires = []  # the oracle's wires: (src, dst, in_port)
+        for edit in edits:
+            if edit[0] == "disconnect":
+                if not wires:
+                    continue
+                src, dst, port = wires.pop(edit[1] % len(wires))
+                editor.disconnect(Connection(src, "out", dst, port))
+                continue
+            _, i, j, p = edit
+            src, dst, port = names[i], names[j], f"i{p}"
+            before = _wiring(editor)
+            if any(w[1] == dst and w[2] == port for w in wires):
+                with pytest.raises(PortError):
+                    editor.connect(src, "out", dst, port)
+                assert _wiring(editor) == before
+                continue
+            oracle = nx.DiGraph()
+            oracle.add_nodes_from(names)
+            oracle.add_edges_from((w[0], w[1]) for w in wires + [(src, dst, port)])
+            if nx.is_directed_acyclic_graph(oracle):
+                conn = editor.connect(src, "out", dst, port)
+                assert conn == Connection(src, "out", dst, port)
+                wires.append((src, dst, port))
+            else:
+                with pytest.raises(NetworkEditError) as err:
+                    editor.connect(src, "out", dst, port)
+                assert str(err.value) == (
+                    f"connecting {src}.out -> {dst}.{port} would create a cycle"
+                )
+                assert _wiring(editor) == before
+            assert sorted(
+                (c.src, c.dst, c.in_port) for c in editor.connections
+            ) == sorted(wires)
+            assert nx.is_directed_acyclic_graph(editor.graph)
+
+    def test_self_loop_and_parallel_wires(self):
+        editor = NetworkEditor()
+        a, b = editor.add_module(Hub()), editor.add_module(Hub())
+        editor.connect(a, "out", b, "i0")
+        editor.connect(a, "out", b, "i1")  # a parallel wire on one edge
+        assert len(editor.graph[a.instance_name][b.instance_name]["connections"]) == 2
+        before = _wiring(editor)
+        for src, dst in ((a, a), (b, a)):
+            with pytest.raises(NetworkEditError, match="would create a cycle"):
+                editor.connect(src, "out", dst, "i2")
+            assert _wiring(editor) == before
 
 
 class TestScheduler:

@@ -10,9 +10,14 @@ These run the real executive, so they are the slow end of the suite
 ``test_plan_injector.py``.
 """
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.faults.demo import DOOMED_HOST, run_demo, trace_digest
+from repro.schooner.runtime import CallTrace
+from repro.serve.session import EMPTY_TRACE_DIGEST
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,47 @@ class TestDeterminism:
         assert full == machine_crash["digest"]
         truncated = trace_digest(ex.env.traces[:-1])
         assert truncated != full
+
+
+def _per_line_digest(traces):
+    """The reference serialization: one ``update`` per formatted trace."""
+    h = hashlib.sha256()
+    for t in traces:
+        h.update(
+            (
+                f"{t.procedure}|{t.caller}|{t.callee}|{t.request_bytes}|"
+                f"{t.reply_bytes}|{t.started_at!r}|{t.finished_at!r}|"
+                f"{t.client_cpu_s!r}|{t.server_cpu_s!r}|{t.compute_s!r}|"
+                f"{t.network_s!r}|{t.outcome}|{t.retries}|{int(t.failed_over)}|"
+                f"{t.dispatch}|{t.timeout_hop}\n"
+            ).encode()
+        )
+    return h.hexdigest()
+
+
+class TestDigestSerialization:
+    def test_single_pass_matches_the_per_line_reference(self):
+        floats = (0.0, -0.0, 1e-300, 0.1 + 0.2, float("inf"), float("-inf"), 12345.678)
+        ints = (0, 1, 2**63 - 1, 10**30)
+        traces = [
+            CallTrace(
+                procedure=proc, caller="caller:ua-sparc10", callee="cray-ymp",
+                request_bytes=ints[i % 4], reply_bytes=ints[(i + 1) % 4],
+                started_at=floats[i % 7], finished_at=floats[(i + 3) % 7],
+                client_cpu_s=floats[(i + 1) % 7], server_cpu_s=floats[(i + 2) % 7],
+                compute_s=floats[(i + 4) % 7], network_s=floats[(i + 5) % 7],
+                outcome=outcome, timeout_hop=hop, retries=ints[i % 4],
+                failed_over=bool(i % 2), dispatch=dispatch,
+            )
+            for i, (proc, outcome, hop, dispatch) in enumerate(itertools.product(
+                ("shaft", "setnozl", "ü-proc"), ("ok", "timeout", "deadline"),
+                ("", "request", "reply"), ("sync", "overlap"),
+            ))
+        ]
+        for n in (0, 1, 2, len(traces)):
+            assert trace_digest(traces[:n]) == _per_line_digest(traces[:n])
+        assert trace_digest(iter(traces)) == _per_line_digest(traces)
+        assert EMPTY_TRACE_DIGEST == _per_line_digest([])
 
 
 class TestOtherPlans:

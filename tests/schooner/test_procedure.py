@@ -1,5 +1,8 @@
 """Unit tests for Procedure and Executable."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.machines import CRAY_YMP_ARCH, SPARC, Language
@@ -31,6 +34,21 @@ class TestProcedure:
         p = make_proc(impl=abs)
         assert not p.wants_state
         assert not p.wants_timeline
+
+    def test_introspection_is_freed_with_the_procedure(self):
+        """A caller that keeps building executables grows nothing: the
+        parameter names live on the procedure, not in a process table
+        that would keep every implementation alive."""
+        from repro.core import build_shaft_executable
+
+        refs = []
+        for _ in range(3):
+            exe = build_shaft_executable()
+            assert all(p.wants_state and not p.wants_timeline for p in exe.procedures)
+            refs.extend(weakref.ref(p.impl) for p in exe.procedures)
+            del exe
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
 
     def test_constant_flops(self):
         assert make_proc(flops=5e6).cost_flops({}) == 5e6

@@ -8,6 +8,9 @@ workload cache, and by a faulted neighbour.
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.faults.plan import FaultPlan, GatewayOutage, GatewayRestore, LatencySpike
@@ -33,6 +36,18 @@ class TestInterleavedEqualsSolo:
         assert mixed.by_name("b").digest == solo_b.digest
         assert mixed.by_name("a").virtual_s == solo_a.virtual_s
         assert mixed.by_name("b").virtual_s == solo_b.virtual_s
+        # what the installation and the process build once (executables,
+        # engine designs and their map memos, codecs, type hashes) is
+        # invisible: on one long-lived installation, interleaved and solo
+        # serves in either order give the same digests and results
+        installation = SharedInstallation.standard()
+        again = serve_sessions([b, a], installation=installation, dedup=False)
+        alone = {s.name: _solo(s, installation=installation) for s in (b, a)}
+        for solo in (solo_a, solo_b):
+            for r in (again.by_name(solo.name), alone[solo.name]):
+                assert (r.digest, repr(r.virtual_s), repr(r.results)) == (
+                    solo.digest, repr(solo.virtual_s), repr(solo.results)
+                )
 
     def test_sixteen_interleaved_sessions_match_solo_virtual_times(self):
         """The acceptance differential: per-session virtual times in a
@@ -53,6 +68,44 @@ class TestInterleavedEqualsSolo:
         assert mixed.by_name("trans").digest == solo_t.digest
         assert mixed.by_name("trans").virtual_s == solo_t.virtual_s
         assert mixed.by_name("trans").transient is not None
+
+
+class TestSharedBuildsAreBounded:
+    def test_rounds_on_one_installation_build_nothing_new(self):
+        """Serving more sessions on a long-lived installation must not
+        grow what is built once: after the first round, no new Procedure
+        objects reach the park (installed or behind a started process)
+        and no further implementation closures stay alive."""
+        from repro.schooner import Procedure
+
+        installation = SharedInstallation.standard()
+        specs = build_session_specs(16, classes=4, points=1)
+
+        def census():
+            procs = set()
+            for machine in installation.park:
+                for path in machine.installed_paths:
+                    procs.update(map(id, machine.executable_at(path).procedures))
+                for proc in machine.spawned_processes:
+                    procs.update(map(id, proc.payload.procedures))
+            gc.collect()
+            live = gc.get_objects()
+            return (
+                len(procs),
+                sum(isinstance(o, Procedure) for o in live),
+                sum(
+                    isinstance(o, types.FunctionType)
+                    and o.__qualname__.startswith("build_")
+                    and ".<locals>." in o.__qualname__
+                    for o in live
+                ),
+            )
+
+        serve_sessions(specs, installation=installation, dedup=False)
+        after_first = census()
+        for _ in range(2):
+            serve_sessions(specs, installation=installation, dedup=False)
+            assert census() == after_first
 
 
 class TestModesAgree:

@@ -1,5 +1,7 @@
 """Integration tests for the F100 engine model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.tess import (
     TwinSpoolTurbofan,
     build_f100,
 )
+from repro.tess import engine as engine_module
+from repro.tess.f100 import F100_SPEC
 
 SLS = FlightCondition(altitude_m=0.0, mach=0.0)
 
@@ -50,6 +54,66 @@ class TestDesignClosure:
         assert s["4"].Pt > s["45"].Pt > s["5"].Pt
         # temperature peaks at the burner exit
         assert s["4"].Tt == max(st.Tt for st in s.values())
+
+
+def _sized(engine):
+    """The parts the design closure sizes, in :meth:`_size_design` order."""
+    return (engine.hpc, engine.hpt, engine.lpt, engine.duct_mixer,
+            engine.duct_bypass, engine.nozzle, engine._design_x,
+            engine._design_core_flow)
+
+
+def _bits(value):
+    """A bitwise-exact image: ``repr`` tells -0.0 from 0.0, and an array
+    is compared by its bytes."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tobytes())
+    return repr(value)
+
+
+class TestDesignMemo:
+    """One sizing per spec is shared by every engine of the process; the
+    sharing must not be observable."""
+
+    def test_memoised_design_equals_a_fresh_sizing(self, monkeypatch):
+        spec = replace(F100_SPEC, burner_efficiency=0.975, nozzle_cd=0.97)
+        memoised = TwinSpoolTurbofan(spec)
+        again = TwinSpoolTurbofan(spec)
+        # the sized parts are shared; the design vector is each engine's own
+        assert all(a is b for a, b in zip(_sized(memoised)[:6], _sized(again)[:6]))
+        assert again._design_x is not memoised._design_x
+        # an engine sized with the memo empty: its own HPC map (and map
+        # memo) and its own turbines, nozzle and ducts
+        monkeypatch.setattr(engine_module, "_DESIGNS", {})
+        fresh = TwinSpoolTurbofan(spec)
+        assert fresh.hpc.map is not memoised.hpc.map
+        assert [_bits(v) for v in _sized(fresh)] == [_bits(v) for v in _sized(again)]
+        assert [_bits(v) for v in fresh._size_design()] == [
+            _bits(v) for v in _sized(again)
+        ]
+        flight = FlightCondition(altitude_m=3000.0, mach=0.6)
+        a, b = (e.balance(flight, 1.38) for e in (fresh, again))
+        assert _bits(a.x) == _bits(b.x) and _bits(a.residuals) == _bits(b.residuals)
+        assert repr((a.n1, a.n2, a.thrust_N, a.t4, a.stations)) == repr(
+            (b.n1, b.n2, b.thrust_N, b.t4, b.stations)
+        )
+
+    def test_distinct_specs_never_share_an_entry(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_DESIGNS", {})
+        specs = [
+            F100_SPEC,
+            replace(F100_SPEC, wf_design=1.45),
+            # equal to each other under ==, distinct bit patterns
+            replace(F100_SPEC, duct_core_loss=0.0),
+            replace(F100_SPEC, duct_core_loss=-0.0),
+        ]
+        assert specs[2] == specs[3]
+        engines = [TwinSpoolTurbofan(s) for s in specs]
+        assert len(engine_module._DESIGNS) == len(specs)
+        for i, a in enumerate(engines):
+            for b in engines[i + 1:]:
+                assert a.hpc is not b.hpc and a.nozzle is not b.nozzle
+        assert TwinSpoolTurbofan(specs[1]).nozzle is engines[1].nozzle
 
 
 class TestOffDesign:

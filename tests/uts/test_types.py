@@ -1,5 +1,11 @@
 """Unit tests for the UTS type model."""
 
+import copy
+import multiprocessing
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.uts import (
@@ -208,3 +214,54 @@ class TestWalkType:
         assert ArrayType(2, FLOAT) in seen
         assert FLOAT in seen
         assert INTEGER in seen
+
+
+def _keyed_types():
+    """A record, an array of it and a signature: every hash below them
+    mixes in string hashes, which depend on ``PYTHONHASHSEED``."""
+    rec = RecordType.of(spool=DOUBLE, stations=ArrayType(4, FLOAT), name=STRING)
+    return (rec, ArrayType(3, rec), shaft_signature())
+
+
+def _rehash_in_child(parent_types):
+    """Run in a spawned interpreter: do the types the parent pickled hash
+    like the same types built here?"""
+    fresh = _keyed_types()
+    table = {t: i for i, t in enumerate(fresh)}
+    return (
+        hash("shaft"),
+        [hash(t) == hash(f) for t, f in zip(parent_types, fresh)],
+        [table.get(t) for t in parent_types],
+    )
+
+
+class TestHashOnce:
+    """Types and signatures hash their tree once; the cached hash never
+    leaves the process that computed it."""
+
+    def test_hash_is_stable_and_structural(self):
+        for t, same in zip(_keyed_types(), _keyed_types()):
+            assert hash(t) == hash(t) == hash(same)
+            assert {t: 1}[same] == 1
+
+    def test_copies_do_not_carry_the_cached_hash(self):
+        for t in _keyed_types():
+            hash(t)
+            for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert twin == t
+                assert "_hash" not in vars(twin)
+
+    def test_spawned_child_with_another_hash_seed(self, monkeypatch):
+        parent_types = _keyed_types()
+        for t in parent_types:
+            hash(t)  # cache the parent-seeded hash before pickling
+        seed = "4243" if os.environ.get("PYTHONHASHSEED") == "4242" else "4242"
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            child_str_hash, equal, found = pool.submit(
+                _rehash_in_child, parent_types
+            ).result(timeout=120)
+        assert child_str_hash != hash("shaft"), "the child must use another hash seed"
+        assert equal == [True] * len(parent_types)
+        assert found == list(range(len(parent_types)))
