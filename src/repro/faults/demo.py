@@ -84,16 +84,30 @@ def _build_executive(transient_s: float, dt: float):
     return ex
 
 
+class _Reprs(dict):
+    """``repr`` of floats, each distinct value formatted once: a
+    session's traces repeat a few CPU and network charges and, across
+    sessions of one class, the same instants.  Zeros are never kept —
+    ``0.0`` and ``-0.0`` are equal keys with different reprs."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
 def trace_digest(traces) -> str:
     """SHA-256 over the serialized call traces — the replay-identity
     witness.  Every field that could vary between runs is included;
     process-global counters (instance ids, pids) are deliberately not
     part of a trace.  One line per trace, hashed in a single update."""
+    r = _Reprs()
     text = "".join([
         f"{t.procedure}|{t.caller}|{t.callee}|{t.request_bytes}|"
-        f"{t.reply_bytes}|{t.started_at!r}|{t.finished_at!r}|"
-        f"{t.client_cpu_s!r}|{t.server_cpu_s!r}|{t.compute_s!r}|"
-        f"{t.network_s!r}|{t.outcome}|{t.retries}|{int(t.failed_over)}|"
+        f"{t.reply_bytes}|{r[t.started_at]}|{r[t.finished_at]}|"
+        f"{r[t.client_cpu_s]}|{r[t.server_cpu_s]}|{r[t.compute_s]}|"
+        f"{r[t.network_s]}|{t.outcome}|{t.retries}|{int(t.failed_over)}|"
         f"{t.dispatch}|{t.timeout_hop}\n"
         for t in traces
     ])

@@ -17,17 +17,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
+from zlib import crc32
 
 import networkx as nx
 
 from ..machines.host import Machine
 from .link import CAMPUS_GATEWAYS, ETHERNET, INTERNET_1993, LOOPBACK, LinkModel
 
-__all__ = ["Topology", "NetworkError"]
+__all__ = ["Topology", "NetworkError", "host_tag"]
 
 
 class NetworkError(Exception):
     """A routing failure: unreachable host, partitioned network."""
+
+
+def host_tag(hostname: str) -> int:
+    """A host's tag in the packed message header: crc32 of its name."""
+    return crc32(hostname.encode())
 
 
 @dataclass
@@ -45,10 +51,18 @@ class Topology:
     # sites whose campus gateways are down: same-site cross-subnet
     # traffic fails while the site's Ethernets keep working
     _dead_gateways: set = field(default_factory=set)
+    # memo of :meth:`path` by (src, dst) host name.  Every mutator clears
+    # it, including the ones no memoised entry depends on today (heal and
+    # gateway_restore only make unmemoised unreachable pairs reachable;
+    # register changes no classification)
+    _paths: Dict[Tuple[str, str], Tuple[LinkModel, int, int]] = field(
+        default_factory=dict, repr=False
+    )
 
     def register(self, machine: Machine) -> None:
         """Add a machine to the explicit graph (optional but lets tests
         reason about the network as a graph)."""
+        self._paths.clear()
         subnet_node = ("subnet", machine.site, machine.subnet)
         site_node = ("site", machine.site)
         self._graph.add_edge(("host", machine.hostname), subnet_node, link=self.ethernet)
@@ -56,47 +70,70 @@ class Topology:
         self._graph.add_edge(site_node, ("backbone",), link=self.internet)
 
     def set_override(self, src: Machine, dst: Machine, link: LinkModel) -> None:
-        """Force a specific link model for a machine pair (both ways)."""
+        """Force a specific link model for a machine pair (both ways).
+        Partitions and gateway outages still cut an overridden pair."""
+        self._paths.clear()
         self._overrides[(src.hostname, dst.hostname)] = link
         self._overrides[(dst.hostname, src.hostname)] = link
 
     def partition(self, site_a: str, site_b: str) -> None:
         """Cut connectivity between two sites (failure injection)."""
+        self._paths.clear()
         self._partitioned.add(frozenset((site_a, site_b)))
 
     def heal(self, site_a: str, site_b: str) -> None:
+        self._paths.clear()
         self._partitioned.discard(frozenset((site_a, site_b)))
 
     def gateway_down(self, site: str) -> None:
         """Take a site's campus gateways out: machines on different
         subnets of ``site`` can no longer reach each other (failure
         injection for the Table-1 'multiple gateways' tier)."""
+        self._paths.clear()
         self._dead_gateways.add(site)
 
     def gateway_restore(self, site: str) -> None:
+        self._paths.clear()
         self._dead_gateways.discard(site)
 
     def classify(self, src: Machine, dst: Machine) -> LinkModel:
-        """The link model connecting ``src`` to ``dst``."""
+        """The link model connecting ``src`` to ``dst``.
+
+        Reachability comes first: a partition between the two sites or
+        a gateway outage between two subnets of one site raises
+        :class:`NetworkError` whatever link an override names."""
+        if src.site != dst.site:
+            if frozenset((src.site, dst.site)) in self._partitioned:
+                raise NetworkError(
+                    f"network partition between {src.site} and {dst.site}"
+                )
+        elif src.subnet != dst.subnet and src.site in self._dead_gateways:
+            raise NetworkError(
+                f"gateway outage at {src.site}: "
+                f"{src.subnet} cannot reach {dst.subnet}"
+            )
         override = self._overrides.get((src.hostname, dst.hostname))
         if override is not None:
             return override
-        if src.site != dst.site and frozenset((src.site, dst.site)) in self._partitioned:
-            raise NetworkError(
-                f"network partition between {src.site} and {dst.site}"
-            )
         if src.hostname == dst.hostname:
             return self.loopback
         if src.site == dst.site:
-            if src.subnet == dst.subnet:
-                return self.ethernet
-            if src.site in self._dead_gateways:
-                raise NetworkError(
-                    f"gateway outage at {src.site}: "
-                    f"{src.subnet} cannot reach {dst.subnet}"
-                )
-            return self.campus
+            return self.ethernet if src.subnet == dst.subnet else self.campus
         return self.internet
+
+    def path(self, src: Machine, dst: Machine) -> Tuple[LinkModel, int, int]:
+        """``(link, src host tag, dst host tag)`` for a message from
+        ``src`` to ``dst``: :meth:`classify` and the two header tags,
+        memoised per host-name pair until the topology next changes.
+        An unreachable pair raises :class:`NetworkError` and is not
+        memoised."""
+        key = (src.hostname, dst.hostname)
+        hit = self._paths.get(key)
+        if hit is None:
+            hit = self._paths[key] = (
+                self.classify(src, dst), host_tag(src.hostname), host_tag(dst.hostname)
+            )
+        return hit
 
     def transfer_seconds(self, src: Machine, dst: Machine, nbytes: int) -> float:
         """One-way delivery time for ``nbytes`` from ``src`` to ``dst``."""

@@ -57,11 +57,10 @@ class Message:
     ``header_nbytes`` is the fixed Schooner message header charged on top
     of it.  The wire occupancy is :attr:`total_nbytes`.
 
-    ``body`` carries the payload.  On the zero-copy path it is a
-    ``memoryview`` over the sender's pooled encode buffer, delivered
-    through every store-and-forward hop as the *same* view object —
-    receivers must treat it as read-only and must not retain it past the
-    call (the buffer returns to the pool).  ``header`` is the packed
+    ``body`` carries the payload: the bytes the sender's RPC leg packed,
+    delivered through every store-and-forward hop as the *same* object
+    (zero-copy; ``Transport.copy_per_hop`` restores the per-hop copies
+    for contrast).  Receivers treat it as read-only.  ``header`` is the packed
     wire header, built once per message with :data:`HEADER_STRUCT`.
     ``deadline_s`` is the caller's propagated virtual-time deadline
     (``None`` = no deadline; packed as +inf in the header) — the
@@ -118,16 +117,12 @@ class Message:
         return self.delivered_at - self.sent_at
 
 
-# crc32 header tags, computed once per distinct string: message kinds
-# are per procedure, host names per machine
+# crc32 header tags of message kinds, computed once per distinct kind
+# (kinds are per procedure); host tags come with the topology's memoised
+# path (:meth:`Topology.path`)
 @lru_cache(maxsize=4096)
 def _kind_tag(kind: str) -> int:
     return crc32(kind.encode("ascii", "replace"))
-
-
-@lru_cache(maxsize=4096)
-def _host_tag(hostname: str) -> int:
-    return crc32(hostname.encode())
 
 
 @dataclass
@@ -175,8 +170,8 @@ class Transport:
     contention: bool = False
     # legacy store-and-forward behaviour kept for comparison: each hop
     # re-materializes the payload as ``bytes`` (and reports it to the
-    # payload-copy counter).  Off = zero-copy: the sender's memoryview
-    # is delivered through every hop unchanged.
+    # payload-copy counter).  Off = zero-copy: the sender's payload
+    # object is delivered through every hop unchanged.
     copy_per_hop: bool = False
     # fault-injection hook (see repro.faults): consulted per message for
     # seeded packet loss and latency spikes.  None = perfect network.
@@ -229,7 +224,7 @@ class Transport:
         header so the receiver can refuse already-late work.
         """
         total = nbytes + header_bytes
-        link = self.topology.classify(src, dst)
+        link, src_tag, dst_tag = self.topology.path(src, dst)
         dt = link.transfer_seconds(total)
         now = timeline.now if timeline is not None else self.clock.now
         if not dst.up:
@@ -271,8 +266,8 @@ class Transport:
             msg_id & 0xFFFFFFFF,
             _kind_tag(kind),
             nbytes,
-            _host_tag(src.hostname),
-            _host_tag(dst.hostname),
+            src_tag,
+            dst_tag,
             NO_DEADLINE if deadline_s is None else deadline_s,
         )
         msg = Message(

@@ -24,7 +24,6 @@ from ..network.transport import Transport
 from ..resilience.breaker import BreakerBoard
 from ..resilience.budget import RetryBudget
 from ..resilience.deadline import Deadline
-from ..uts.buffers import WIRE_BUFFERS
 from ..uts.compiled import native_roundtrip_for, signature_codec
 from ..uts.errors import UTSCompatibilityError
 from ..uts.native import OutOfRangePolicy
@@ -258,7 +257,7 @@ class CallPlan:
     __slots__ = (
         "record", "policy", "name", "type_error",
         "callee", "procedure", "wants_state", "wants_timeline",
-        "sig", "send_codec", "return_codec",
+        "sig",
         "caller_send", "callee_recv", "callee_reply", "caller_recv",
         "call_kind", "reply_kind",
     )
@@ -274,10 +273,11 @@ def bind_call(
 
     Derives the Manager's import-vs-export verdict (an incompatible
     binding still binds; every call through it raises
-    :class:`TypeCheckError`), the two signature codecs with their
-    compiled conform, the caller- and callee-side native round-trip
-    plans for the two machines' formats under ``env.range_policy``,
-    and the message kinds."""
+    :class:`TypeCheckError`), the four legs of the call — the send and
+    return signature codecs bound to the caller's and the callee's
+    native formats under ``env.range_policy`` (each conforms, converts
+    and packs, or unpacks and converts, in one step) — and the message
+    kinds."""
     plan = CallPlan()
     plan.record = record
     plan.policy = policy = env.range_policy
@@ -300,17 +300,33 @@ def bind_call(
     plan.procedure = proc
     plan.wants_state = proc.wants_state
     plan.wants_timeline = proc.wants_timeline
-    plan.send_codec = send = signature_codec(import_sig, "send")
-    plan.return_codec = ret = signature_codec(import_sig, "return")
+    send = signature_codec(import_sig, "send")
+    ret = signature_codec(import_sig, "return")
     caller_fmt = caller_machine.architecture.native_format
     callee_fmt = record.machine.architecture.native_format
-    plan.caller_send = native_roundtrip_for(caller_fmt, send.record_type, policy)
-    plan.callee_recv = native_roundtrip_for(callee_fmt, send.record_type, policy)
-    plan.callee_reply = native_roundtrip_for(callee_fmt, ret.record_type, policy)
-    plan.caller_recv = native_roundtrip_for(caller_fmt, ret.record_type, policy)
+    plan.caller_send = _leg(send, caller_fmt, policy)
+    plan.callee_recv = _leg(send, callee_fmt, policy)
+    plan.callee_reply = _leg(ret, callee_fmt, policy)
+    plan.caller_recv = _leg(ret, caller_fmt, policy)
     plan.call_kind = f"call:{name}"
     plan.reply_kind = f"reply:{name}"
     return plan
+
+
+def _leg(codec, fmt, policy):
+    """One RPC leg: ``codec`` bound to a machine's native format."""
+    return codec.bind(fmt, policy, native_roundtrip_for(fmt, codec.record_type, policy))
+
+
+def _early_trace(plan, caller_machine, started_at, retries, failed_over, dispatch,
+                 **charged) -> CallTrace:
+    """The trace of a call that ends before its reply, with what it
+    was charged so far."""
+    return CallTrace(
+        procedure=plan.name, caller=caller_machine.hostname,
+        callee=plan.callee.hostname, started_at=started_at, retries=retries,
+        failed_over=failed_over, dispatch=dispatch, **charged,
+    )
 
 
 def _lost(env, plan, trace, timeline, deadline, sink_trace, exc, retry_safe, hop):
@@ -396,137 +412,111 @@ def execute_call(
         raise TypeCheckError(str(plan.type_error)) from plan.type_error
 
     callee = plan.callee
-    trace = CallTrace(
-        procedure=plan.name,
-        caller=caller_machine.hostname,
-        callee=callee.hostname,
-        started_at=timeline.now,
-        retries=retries,
-        failed_over=failed_over,
-        dispatch=dispatch,
-    )
+    started_at = timeline.now
     sink_trace = env.record_trace if trace_sink is None else trace_sink.append
+    # the trace of a call that ends early, with what it was charged
+    early = (plan, caller_machine, started_at, retries, failed_over, dispatch)
+
     if deadline is None:
         deadline_s = None
     else:
-        if deadline.expired(timeline.now):
+        if deadline.expired(started_at):
             # client-side refusal: don't marshal or touch the network for
             # work that is already late
-            raise _late(plan, trace, timeline, deadline, sink_trace, "before dispatch")
+            raise _late(plan, _early_trace(*early), timeline, deadline, sink_trace,
+                        "before dispatch")
         deadline_s = deadline.at_s
-    flops_per_byte = env.costs.marshal_flops_per_byte
-    header_bytes = env.costs.header_bytes
+    costs = env.costs
+    flops_per_byte = costs.marshal_flops_per_byte
+    header_bytes = costs.header_bytes
     send = env.transport.send
-    send_codec = plan.send_codec
-    return_codec = plan.return_codec
 
     # --- client side: conform, apply caller-native storage, marshal -------
-    # Zero-copy wire path: both directions encode into pooled bytearrays
-    # and travel as memoryviews; no payload ``bytes`` is materialized
-    # anywhere between encode and decode.  The views are released (and
-    # the buffers returned to the pool) before this call returns, so the
-    # decoded results never alias pool memory.
-    sent = plan.caller_send(send_codec.conform(args))
-    req_buf = WIRE_BUFFERS.acquire()
-    rep_buf: Optional[bytearray] = None
-    request: Optional[memoryview] = None
-    reply: Optional[memoryview] = None
+    # Each leg is one bound codec call; the packed bytes travel through
+    # every hop as the same object and are decoded where they arrive.
+    request = plan.caller_send.encode_conformed_into(args)
+    nreq = len(request)
+    client_cpu_s = caller_machine.compute_seconds(nreq * flops_per_byte)
+    timeline.advance(client_cpu_s)
+
+    # --- network: request --------------------------------------------------
     try:
-        nreq = send_codec.encode_conformed_into(sent, req_buf)
-        request = memoryview(req_buf)
-        dt = caller_machine.compute_seconds(nreq * flops_per_byte)
-        trace.client_cpu_s += dt
-        timeline.advance(dt)
+        msg = send(caller_machine, callee, plan.call_kind, request, nreq,
+                   timeline, header_bytes, deadline_s)
+    except NetworkError as exc:
+        # request lost: the remote never saw the call, any procedure
+        # may be safely retried
+        raise _lost(env, plan, _early_trace(*early, client_cpu_s=client_cpu_s), timeline,
+                    deadline, sink_trace, exc, True, "request") from exc
+    network_s = msg.delivered_at - msg.sent_at
+    request_bytes = msg.nbytes
 
-        # --- network: request ----------------------------------------------
-        try:
-            msg = send(
-                caller_machine, callee, plan.call_kind, request, nreq,
-                timeline=timeline, header_bytes=header_bytes, deadline_s=deadline_s,
-            )
-        except NetworkError as exc:
-            # request lost: the remote never saw the call, any procedure
-            # may be safely retried
-            raise _lost(env, plan, trace, timeline, deadline, sink_trace,
-                        exc, True, "request") from exc
-        trace.network_s += msg.delivered_at - msg.sent_at
-        trace.request_bytes = msg.nbytes
+    # --- server side: unmarshal, convert to callee native, invoke ---------
+    # the server reads the deadline out of the message header before
+    # spending any CPU: work that went late in transit is refused, not
+    # computed (DeadlineExceeded, distinct from CallTimeout)
+    if deadline_s is not None and timeline.now >= deadline_s:
+        raise _late(plan, _early_trace(*early, request_bytes=request_bytes,
+                                      client_cpu_s=client_cpu_s, network_s=network_s),
+                    timeline, deadline, sink_trace, f"on arrival at {callee.hostname}")
+    server_cpu_s = callee.compute_seconds(nreq * flops_per_byte)
+    timeline.advance(server_cpu_s)
 
-        # --- server side: unmarshal, convert to callee native, invoke -----
-        # the server reads the deadline out of the message header before
-        # spending any CPU: work that went late in transit is refused,
-        # not computed (DeadlineExceeded, distinct from CallTimeout)
-        if deadline_s is not None and timeline.now >= deadline_s:
-            raise _late(plan, trace, timeline, deadline, sink_trace,
-                        f"on arrival at {callee.hostname}")
-        dt = callee.compute_seconds(nreq * flops_per_byte)
-        trace.server_cpu_s += dt
-        timeline.advance(dt)
+    # The callee sees the subset of parameters its *export* declares
+    # that the import actually sent (import may be a subset of the
+    # export).
+    recv = plan.callee_recv.unmarshal(msg.body)
 
-        # The callee sees the subset of parameters its *export* declares
-        # that the import actually sent (import may be a subset of the
-        # export).  It decodes the delivered body in place.
-        recv = plan.callee_recv(send_codec.unmarshal(msg.body))
+    proc = plan.procedure
+    if not callee.up or not process.alive:
+        raise StaleBinding(f"{plan.name}: host died mid-call")
 
-        proc = plan.procedure
-        if not callee.up or not process.alive:
-            raise StaleBinding(f"{plan.name}: host died mid-call")
+    kwargs = dict(recv)
+    if plan.wants_state:
+        kwargs[STATE_ARG] = record.state_storage()
+    if plan.wants_timeline:
+        kwargs[TIMELINE_ARG] = timeline
+    try:
+        raw_result = proc.impl(**kwargs)
+    except Exception as exc:
+        raise CallFailed(f"{plan.name}: remote procedure raised {exc!r}") from exc
 
-        kwargs = dict(recv)
-        if plan.wants_state:
-            kwargs[STATE_ARG] = record.state_storage()
-        if plan.wants_timeline:
-            kwargs[TIMELINE_ARG] = timeline
-        try:
-            raw_result = proc.impl(**kwargs)
-        except Exception as exc:
-            raise CallFailed(f"{plan.name}: remote procedure raised {exc!r}") from exc
+    compute_s = callee.compute_seconds(proc.cost_flops(recv))
+    timeline.advance(compute_s)
 
-        dt = callee.compute_seconds(proc.cost_flops(recv))
-        trace.compute_s += dt
-        timeline.advance(dt)
+    reply = plan.callee_reply.encode_conformed_into(_shape_results(plan.sig, raw_result, recv))
+    nrep = len(reply)
+    dt = callee.compute_seconds(nrep * flops_per_byte)
+    server_cpu_s += dt
+    timeline.advance(dt)
 
-        results = _shape_results(plan.sig, raw_result, recv)
-        results = plan.callee_reply(return_codec.conform(results))
-        rep_buf = WIRE_BUFFERS.acquire()
-        nrep = return_codec.encode_conformed_into(results, rep_buf)
-        reply = memoryview(rep_buf)
-        dt = callee.compute_seconds(nrep * flops_per_byte)
-        trace.server_cpu_s += dt
-        timeline.advance(dt)
+    # --- network: reply ------------------------------------------------------
+    try:
+        msg = send(callee, caller_machine, plan.reply_kind, reply, nrep,
+                   timeline, header_bytes, deadline_s)
+    except NetworkError as exc:
+        # reply lost: the remote *did* execute, so only procedures whose
+        # re-execution is harmless (stateless, or explicitly idempotent)
+        # may be retried without double-execution risk
+        lost = _early_trace(*early, request_bytes=request_bytes, client_cpu_s=client_cpu_s,
+                            server_cpu_s=server_cpu_s, compute_s=compute_s,
+                            network_s=network_s)
+        raise _lost(env, plan, lost, timeline, deadline, sink_trace,
+                    exc, proc.retry_ok, "reply") from exc
+    network_s += msg.delivered_at - msg.sent_at
 
-        # --- network: reply -------------------------------------------------
-        try:
-            msg = send(
-                callee, caller_machine, plan.reply_kind, reply, nrep,
-                timeline=timeline, header_bytes=header_bytes, deadline_s=deadline_s,
-            )
-        except NetworkError as exc:
-            # reply lost: the remote *did* execute, so only procedures
-            # whose re-execution is harmless (stateless, or explicitly
-            # idempotent) may be retried without double-execution risk
-            raise _lost(env, plan, trace, timeline, deadline, sink_trace,
-                        exc, proc.retry_ok, "reply") from exc
-        trace.network_s += msg.delivered_at - msg.sent_at
-        trace.reply_bytes = msg.nbytes
+    # --- client side: unmarshal, store in caller-native format ------------
+    dt = caller_machine.compute_seconds(nrep * flops_per_byte)
+    client_cpu_s += dt
+    timeline.advance(dt)
+    out = plan.caller_recv.unmarshal(msg.body)
 
-        # --- client side: unmarshal, store in caller-native format ---------
-        dt = caller_machine.compute_seconds(nrep * flops_per_byte)
-        trace.client_cpu_s += dt
-        timeline.advance(dt)
-        out = plan.caller_recv(return_codec.unmarshal(msg.body))
-
-        trace.finished_at = timeline.now
-        sink_trace(trace)
-        return out
-    finally:
-        if request is not None:
-            request.release()
-        WIRE_BUFFERS.release(req_buf)
-        if reply is not None:
-            reply.release()
-        if rep_buf is not None:
-            WIRE_BUFFERS.release(rep_buf)
+    sink_trace(CallTrace(
+        plan.name, caller_machine.hostname, callee.hostname, request_bytes,
+        msg.nbytes, started_at, timeline.now, client_cpu_s, server_cpu_s,
+        compute_s, network_s, "ok", "", retries, failed_over, dispatch,
+    ))
+    return out
 
 
 def _shape_results(sig: Signature, raw: Any, sent_args: Dict[str, Any]) -> Dict[str, Any]:

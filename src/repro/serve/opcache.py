@@ -30,8 +30,8 @@ entry is not overwritten by a warm-started result for the same point.
 
 Thread safety mirrors the installation's ``park_lock`` discipline: one
 lock serializes lookups and stores (the arrays inside are private
-copies, never views over pooled wire buffers, so a stored solution can
-never be invalidated by a buffer release).  Scheduling probes should use
+copies, never views over a message body or a pooled buffer, so a stored
+solution can never be invalidated by a buffer release).  Scheduling probes should use
 :meth:`peek` — it does not touch the hit/miss counters, which are
 reserved for real cache traffic.
 

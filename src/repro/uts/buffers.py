@@ -1,14 +1,13 @@
 """Pooled wire buffers and payload-copy accounting.
 
-The RPC hot path encodes every request and reply.  Before the zero-copy
-work the path was: encode into a scratch ``bytearray``, materialize it
-as ``bytes``, then let the transport treat that ``bytes`` as the payload
-— one full copy of every payload on every call, plus whatever the
-store-and-forward hops re-copied.  The pool below removes both:
+Two things keep payload bytes from being copied more than needed:
 
-* :class:`BufferPool` hands out reusable ``bytearray`` buffers; codecs
-  append into them via ``encode_into`` and the transport carries a
-  ``memoryview`` slice of the buffer through every hop unchanged.
+* :class:`BufferPool` hands out reusable ``bytearray`` buffers that
+  codecs append into (``encode_into``).  The shard frame codec
+  (:mod:`repro.serve.shm`) builds every frame in one.  The RPC runtime
+  does not: for its small fixed-layout requests and replies one
+  ``Struct.pack`` per leg yields the payload ``bytes`` directly, and the
+  transport carries that object through every hop unchanged.
 * :func:`count_payload_copy` is the accounting hook: every place that
   *does* materialize a payload copy (the legacy per-hop mode kept for
   comparison, or any future path) reports it here, and the zero-copy
@@ -121,7 +120,7 @@ class BufferPool:
             return len(self._free)
 
 
-#: the process-wide pool the RPC runtime encodes into
+#: the process-wide pool the shard frame codec encodes into
 WIRE_BUFFERS = BufferPool()
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +42,8 @@ from .native import (
     VAXFormat,
 )
 from .types import (
+    DOUBLE,
+    INTEGER,
     ArrayType,
     BooleanType,
     ByteType,
@@ -445,12 +448,29 @@ class SignatureCodec:
     same list as a UTS record (one field per parameter, in order), the
     type a whole argument dict has — so one native round-trip plan
     (:func:`native_roundtrip_for`) converts every argument of a call.
+
+    A codec may be *bound* to one machine's native format
+    (:meth:`bind`): it is then one leg of an RPC.  Its
+    :meth:`encode_conformed_into` without a buffer conforms the
+    arguments, applies the native format and returns the packed request
+    or reply; its :meth:`unmarshal` decodes and applies the native
+    format.  When every parameter is a ``double``, an ``integer`` or a
+    fixed array of them, each leg is one ``Struct`` call plus a type
+    check, and the native conversion works on the packed lanes
+    (:func:`_lane_kernels`); any other value or layout takes the
+    composition of the reference pieces, so values and errors are the
+    reference's either way.
     """
 
-    __slots__ = ("signature", "direction", "params", "record_type", "_params",
-                 "_conform")
+    __slots__ = ("signature", "direction", "params", "record_type", "native",
+                 "_params", "_conform", "_encode_leg", "_decode_leg", "_legs")
 
-    def __init__(self, sig: Signature, direction: str):
+    def __init__(
+        self,
+        sig: Signature,
+        direction: str,
+        native: Optional[Tuple[NativeFormat, OutOfRangePolicy, Callable[[Any], Any]]] = None,
+    ):
         if direction not in ("send", "return"):  # pragma: no cover
             raise ValueError(f"bad direction {direction!r}")
         self.signature = sig
@@ -458,7 +478,10 @@ class SignatureCodec:
         params = sig.sent_params if direction == "send" else sig.returned_params
         self.params = params
         self.record_type = RecordType(tuple(RecordField(p.name, p.type) for p in params))
+        #: ``(format, policy, plan)`` of a bound leg, ``None`` for wire only
+        self.native = native
         self._params = tuple((p.name, codec_for(p.type)) for p in params)
+        self._legs: Dict[Tuple[NativeFormat, OutOfRangePolicy], SignatureCodec] = {}
         expected = frozenset(p.name for p in params)
         subs = tuple((p.name, conform_for(p.type)) for p in params)
 
@@ -468,6 +491,21 @@ class SignatureCodec:
             return {name: fn(args[name]) for name, fn in subs}
 
         self._conform = conform_sig
+        self._encode_leg, self._decode_leg = _compile_legs(self)
+
+    def bind(self, fmt: NativeFormat, policy: OutOfRangePolicy,
+             plan: Callable[[Any], Any]) -> "SignatureCodec":
+        """This codec as an RPC leg on a machine of native format
+        ``fmt``: ``plan`` is :func:`native_roundtrip_for` of ``fmt``,
+        :attr:`record_type` and ``policy``.  One leg per format and
+        policy is built and kept."""
+        key = (fmt, policy)
+        leg = self._legs.get(key)
+        if leg is None:
+            leg = self._legs[key] = SignatureCodec(
+                self.signature, self.direction, (fmt, policy, plan)
+            )
+        return leg
 
     def conform(self, args: Dict[str, Any]) -> Dict[str, Any]:
         """Compiled :func:`~repro.uts.values.conform_args` for this
@@ -485,20 +523,28 @@ class SignatureCodec:
         self.encode_conformed_into(args, out)
         return bytes(out)
 
-    def encode_conformed_into(self, args: Dict[str, Any], out: bytearray) -> int:
-        """Encode canonical arguments into a caller-owned buffer;
-        returns the bytes appended.
+    def encode_conformed_into(self, args: Dict[str, Any], out: Optional[bytearray] = None):
+        """With ``out``: append canonical ``args`` to a caller-owned
+        buffer and return the bytes appended (no native conversion).
 
-        The RPC hot path uses this with a pooled buffer (see
-        :mod:`repro.uts.buffers`) so the request never materializes as
-        an intermediate ``bytes`` — the ``bytes(out)`` in
-        :meth:`encode_conformed` was the double copy."""
+        Without ``out``: the outgoing RPC leg.  Conform ``args``, apply
+        the bound native format (if any) and return the encoded bytes,
+        equal to ``marshal_args`` of the natively round-tripped
+        arguments, with the reference's errors."""
+        if out is None:
+            return self._encode_leg(args)
         n0 = len(out)
         for name, codec in self._params:
             codec.encode_into(args[name], out)
         return len(out) - n0
 
     def unmarshal(self, data: bytes) -> Dict[str, Any]:
+        """Decode one direction's arguments (then, for a bound leg,
+        apply its native format); equal to ``unmarshal_args`` and its
+        errors, truncated or trailing data included."""
+        return self._decode_leg(data)
+
+    def _unmarshal_wire(self, data: bytes) -> Dict[str, Any]:
         args: Dict[str, Any] = {}
         offset = 0
         for name, codec in self._params:
@@ -678,3 +724,235 @@ def native_roundtrip_for(
     if plan is None:
         plan = _NATIVE_PLANS[key] = _compile_native(fmt, t, policy)
     return plan
+
+
+# ---------------------------------------------------------------------------
+# RPC legs: a bound signature codec's encode and decode
+# ---------------------------------------------------------------------------
+
+#: scalar types a leg packs as one 8-byte lane, by struct code
+_LANE_CODES = {DoubleType: "d", IntegerType: "q"}
+#: the classes the legs' type check accepts per lane; any other value
+#: (``bool``, ``int`` for a double, NumPy integers, ...) is conformed by
+#: the reference path
+_LANE_CODE_OF = {float: "d", _NP_FLOAT64: "d", int: "q"}
+_DOUBLE_CLASSES = frozenset((float, _NP_FLOAT64))
+
+
+def _leg_layout(params) -> Optional[Tuple[str, Tuple[Tuple[str, Optional[int]], ...]]]:
+    """The lane codes and ``(name, array length or None)`` shape of a
+    parameter list whose every parameter is a ``double``, an
+    ``integer`` or a fixed array of them; ``None`` for any other."""
+    codes: List[str] = []
+    shape: List[Tuple[str, Optional[int]]] = []
+    for p in params:
+        t = p.type
+        code = _LANE_CODES.get(type(t))
+        if code is not None:
+            codes.append(code)
+            shape.append((p.name, None))
+            continue
+        if isinstance(t, ArrayType):
+            code = _LANE_CODES.get(type(t.element))
+            if code is not None:
+                codes.append(code * t.length)
+                shape.append((p.name, t.length))
+                continue
+        return None
+    return "".join(codes), tuple(shape)
+
+
+def _tuple_getter(names: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
+    if len(names) >= 2:
+        return itemgetter(*names)
+    if names:
+        (name,) = names
+        return lambda args: (args[name],)
+    return lambda args: ()
+
+
+def _cray_lanes(packer: struct.Struct, doubles: List[int], per_value: Callable[[Any], Any]):
+    """The Cray round trip of the ``doubles`` lanes of a packed record,
+    all lanes at once.
+
+    A normal double keeps its exponent and rounds its 53-bit significand
+    to the Cray's 48 bits: drop 5 bits, round half to even, and let a
+    carry run into the exponent.  A zero keeps its sign and stays zero,
+    which the same rounding does.  On the whole record as one integer
+    that is a masked add per lane, and no lane can carry into the next.
+    A record with a subnormal, infinite or NaN lane, or whose rounding
+    carries into the top exponent, takes ``per_value`` (the compiled
+    per-value plan, which uses the reference pack/unpack there) lane by
+    lane in wire order, so raise/clamp and the first error are the
+    reference's."""
+    nlanes = packer.size // 8
+    nbytes = packer.size
+
+    def rep(word: int) -> int:
+        return sum(word << (64 * (nlanes - 1 - i)) for i in doubles)
+
+    mag = rep(0x7FFF_FFFF_FFFF_FFFF)
+    keep = ((1 << (64 * nlanes)) - 1) ^ mag  # integer lanes, sign bits
+    ones, fifteen = rep(1), rep(15)
+    clear = rep(0x7FFF_FFFF_FFFF_FFE0)
+    top = rep(1 << 63)
+    # a lane's bit 63 after adding: nonzero / at least 2**52 (not zero
+    # or subnormal) / exponent field all ones (inf, NaN)
+    nonzero, normal, infinite = rep((1 << 63) - 1), rep((1 << 63) - (1 << 52)), rep(1 << 52)
+    from_bytes = int.from_bytes
+
+    def by_value(data: bytes) -> bytes:
+        vals = list(packer.unpack(data))
+        for i in doubles:
+            vals[i] = per_value(vals[i])
+        return packer.pack(*vals)
+
+    def cray(data: bytes) -> bytes:
+        x = from_bytes(data, "big")
+        m = x & mag
+        if ((m + nonzero) & ~(m + normal) | (m + infinite)) & top:
+            return by_value(data)  # a subnormal, infinite or NaN lane
+        r = (m + fifteen + ((x >> 5) & ones)) & clear
+        if (r + infinite) & top:  # rounding carried out of range
+            return by_value(data)
+        return (r | (x & keep)).to_bytes(nbytes, "big")
+
+    return cray
+
+
+def _lane_kernels(fmt: NativeFormat, policy: OutOfRangePolicy, packer: struct.Struct,
+                  codes: str):
+    """The native conversion of a packed leg: ``(bytes kernel or None,
+    ((lane, per-value fn), ...))``; both empty means the format keeps
+    every lane as it is."""
+    fixes = []
+    for i, code in enumerate(codes):
+        fn = native_roundtrip_for(fmt, DOUBLE if code == "d" else INTEGER, policy)
+        if fn is _identity:
+            continue
+        if code == "q":
+            if type(fmt) in (IEEEFormat, CrayFormat, VAXFormat) and fmt.int_bits >= 64:
+                continue  # conformed integers are 64-bit: nothing to check
+            fixes.append((i, fn))
+        else:
+            # the reference converts conformed (plain float) values; a
+            # NumPy scalar would change the repr in an error message
+            fixes.append((i, lambda v, fn=fn: fn(float(v))))
+    if fixes and type(fmt) is CrayFormat and all(codes[i] == "d" for i, _ in fixes):
+        per_value = native_roundtrip_for(fmt, DOUBLE, policy)
+        return _cray_lanes(packer, [i for i, _ in fixes], per_value), ()
+    return None, tuple(fixes)
+
+
+def _compile_legs(codec: SignatureCodec):
+    """``(encode, decode)`` of a (possibly bound) signature codec: see
+    :class:`SignatureCodec`."""
+    plan = _identity if codec.native is None else codec.native[2]
+    conform_args_ = codec._conform
+    encode_conformed = codec.encode_conformed
+    unmarshal_wire = codec._unmarshal_wire
+
+    def encode_ref(args: Dict[str, Any]) -> bytes:
+        return encode_conformed(plan(conform_args_(args)))
+
+    def decode_ref(data: bytes) -> Dict[str, Any]:
+        return plan(unmarshal_wire(data))
+
+    layout = _leg_layout(codec.params)
+    if layout is None:
+        return encode_ref, decode_ref
+    codes, shape = layout
+    packer = struct.Struct(">" + codes)
+    pack, unpack, size = packer.pack, packer.unpack, packer.size
+    if codec.native is None:
+        lanes, fixes = None, ()
+    else:
+        lanes, fixes = _lane_kernels(codec.native[0], codec.native[1], packer, codes)
+    names = tuple(name for name, _ in shape)
+    nparams = len(names)
+    get = _tuple_getter(names)
+    scalars = all(n is None for _, n in shape)
+
+    if scalars and "q" not in codes and not fixes:
+        # the common leg (every F100 compute procedure): scalar doubles,
+        # kept as they are or through one bytes kernel
+        def encode_doubles(args: Dict[str, Any]) -> bytes:
+            if args.__class__ is dict and len(args) == nparams:
+                try:
+                    vals = get(args)
+                except KeyError:
+                    return encode_ref(args)
+                if _DOUBLE_CLASSES.issuperset(map(type, vals)):
+                    data = pack(*vals)
+                    return data if lanes is None else lanes(data)
+            return encode_ref(args)
+
+        def decode_doubles(data: bytes) -> Dict[str, Any]:
+            if len(data) != size:
+                return decode_ref(data)  # raises: truncated or trailing
+            return dict(zip(names, unpack(data if lanes is None else lanes(data))))
+
+        return encode_doubles, decode_doubles
+
+    # the general leg: integers, arrays or per-value native fixes
+    lane_codes = tuple(codes)
+    ints = tuple(i for i, code in enumerate(codes) if code == "q")
+
+    def flat_args(args: Dict[str, Any]):
+        """The arguments' lanes in wire order, or ``None`` when anything
+        is not a canonical double/integer of the right shape."""
+        if args.__class__ is not dict or len(args) != nparams:
+            return None
+        try:
+            vals = get(args)
+        except KeyError:
+            return None
+        if scalars:
+            flat = vals
+        else:
+            flat = []
+            for (_, n), v in zip(shape, vals):
+                if n is None:
+                    flat.append(v)
+                elif (v.__class__ is list or v.__class__ is tuple) and len(v) == n:
+                    flat.extend(v)
+                else:
+                    return None
+        if tuple(map(_LANE_CODE_OF.get, map(type, flat))) != lane_codes:
+            return None
+        for i in ints:
+            if not INT64_MIN <= flat[i] <= INT64_MAX:
+                return None
+        return flat
+
+    def encode_leg(args: Dict[str, Any]) -> bytes:
+        flat = flat_args(args)
+        if flat is None:
+            return encode_ref(args)
+        if fixes:
+            flat = list(flat)
+            for i, fn in fixes:
+                flat[i] = fn(flat[i])
+        data = pack(*flat)
+        return data if lanes is None else lanes(data)
+
+    def decode_leg(data: bytes) -> Dict[str, Any]:
+        if len(data) != size:
+            return decode_ref(data)  # raises: truncated or trailing
+        vals = unpack(data if lanes is None else lanes(data))
+        if fixes:
+            vals = list(vals)
+            for i, fn in fixes:
+                vals[i] = fn(vals[i])
+        rec: Dict[str, Any] = {}
+        i = 0
+        for name, n in shape:
+            if n is None:
+                rec[name] = vals[i]
+                i += 1
+            else:
+                rec[name] = list(vals[i : i + n])
+                i += n
+        return rec
+
+    return encode_leg, decode_leg

@@ -32,7 +32,11 @@ and cross-checks the outcomes against the documented semantics table in
   value-for-value, and exception-for-exception;
 * compiled conform agrees with :func:`~repro.uts.values.conform` (and
   with :func:`~repro.uts.values.conform_args` per signature)
-  value-for-value and exception-for-exception, message included.
+  value-for-value and exception-for-exception, message included;
+* the RPC legs' batched Cray kernel, which rounds every double of a
+  packed record at once, agrees with the reference round trip bit for
+  bit and error for error (message included), alone and among other
+  double and integer lanes.
 
 Checks return a list of discrepancy strings (empty = conformant), so
 pytest and the CLI smoke runner (``python -m repro.uts.conformance``)
@@ -54,7 +58,13 @@ from hypothesis import strategies as st
 from ..machines.arch import ALL_NATIVE_FORMATS
 import numpy as np
 
-from .compiled import codec_for, conform_for, native_roundtrip_for, signature_codec
+from .compiled import (
+    _cray_lanes,
+    codec_for,
+    conform_for,
+    native_roundtrip_for,
+    signature_codec,
+)
 from .errors import UTSConversionError, UTSError, UTSRangeError
 from .native import (
     CrayFormat,
@@ -149,13 +159,50 @@ def _roundtrip(fmt: NativeFormat, value: float, policy: OutOfRangePolicy,
 # ---------------------------------------------------------------------------
 
 
+#: packed records the batched Cray kernel is checked on: lane codes, and
+#: where the value under test goes (``None``) among fixed lanes
+_CRAY_LANE_LAYOUTS = (
+    ("d", (None,)),
+    ("dddd", (1.5, None, -0.0, 3.0e10)),
+    ("dqd", (None, 7, None)),
+)
+
+
+def _check_cray_lanes(fmt: CrayFormat, value: float) -> List[str]:
+    """The batched Cray kernel of the RPC legs against the reference
+    pack/unpack of every double lane, under both policies."""
+    issues: List[str] = []
+    for policy in POLICIES:
+        per_value = native_roundtrip_for(fmt, DOUBLE, policy)
+        for codes, layout in _CRAY_LANE_LAYOUTS:
+            packer = struct.Struct(">" + codes)
+            lanes = [value if v is None else v for v in layout]
+            doubles = [i for i, code in enumerate(codes) if code == "d"]
+            kernel = _cray_lanes(packer, doubles, per_value)
+            got = _conform_outcome(kernel, packer.pack(*lanes))
+            want = _conform_outcome(lambda: packer.pack(*[
+                _roundtrip(fmt, v, policy, False) if code == "d" else v
+                for v, code in zip(lanes, codes)
+            ]))
+            if got != want:
+                issues.append(
+                    f"{fmt.name}/{policy.value}: batched Cray lanes {codes} "
+                    f"differ from the reference for {value!r}: {got} vs {want}"
+                )
+    return issues
+
+
 def check_native_float(fmt: NativeFormat, value: float, use32: bool = False) -> List[str]:
     """Check one conformed float against ``fmt``'s documented semantics
     under both policies.  ``use32`` selects the single-precision path, in
-    which case ``value`` must already be conformed to 32 bits.
+    which case ``value`` must already be conformed to 32 bits.  On a
+    Cray double the batched kernel of the RPC legs must also equal the
+    reference round trip (:func:`_check_cray_lanes`).
     """
     issues: List[str] = []
     width = "f32" if use32 else "f64"
+    if isinstance(fmt, CrayFormat) and not use32:
+        issues += _check_cray_lanes(fmt, value)
 
     def bad(msg: str) -> None:
         issues.append(f"{fmt.name}/{width}: {msg} (value={value!r})")

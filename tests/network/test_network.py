@@ -160,6 +160,36 @@ class TestTopology:
         topo.heal("lerc", "arizona")
         topo.classify(park["ua-sparc10"], park["lerc-cray"])
 
+    def test_faults_cut_an_overridden_pair(self, topo, park):
+        """Reachability comes before overrides: an overridden pair
+        cannot talk across a partitioned site link or a downed campus
+        gateway, and gets its override back once the fault heals — on
+        the topology and through a transport that already memoised the
+        pair's path."""
+        tx = Transport(topology=topo, clock=VirtualClock())
+        wan = park["ua-sparc10"], park["lerc-cray"]
+        campus = park["lerc-sparc10"], park["lerc-cray"]  # accl -> csd
+        for a, b in (wan, campus):
+            topo.set_override(a, b, ETHERNET)
+            assert topo.classify(a, b) is ETHERNET
+            tx.send(a, b, "call", None, 100)
+        topo.partition("lerc", "arizona")
+        topo.gateway_down("lerc")
+        for a, b in (wan, campus):
+            for src, dst in ((a, b), (b, a)):
+                with pytest.raises(NetworkError):
+                    topo.classify(src, dst)
+                with pytest.raises(NetworkError):
+                    tx.send(src, dst, "call", None, 100)
+        # same-subnet traffic at the site is untouched by its gateways
+        assert topo.classify(park["lerc-sparc10"], park["lerc-sgi480"]) is ETHERNET
+        topo.heal("lerc", "arizona")
+        topo.gateway_restore("lerc")
+        for a, b in (wan, campus):
+            assert topo.classify(a, b) is ETHERNET
+            msg = tx.send(a, b, "call", None, 100)
+            assert msg.transfer_seconds == ETHERNET.transfer_seconds(100 + 64)
+
     def test_graph_paths_exist(self, topo, park):
         hops_lan = topo.graph_path_hops(park["lerc-sparc10"], park["lerc-sgi480"])
         hops_wan = topo.graph_path_hops(park["ua-sparc10"], park["lerc-cray"])

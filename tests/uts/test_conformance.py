@@ -7,6 +7,7 @@ repro.uts.conformance``).
 """
 
 import math
+import struct
 import sys
 
 import numpy as np
@@ -66,6 +67,49 @@ class TestScalarChecks:
     def test_all_park_formats_conform_on_edge_values(self, v):
         for fmt in ALL_NATIVE_FORMATS:
             assert check_native_float(fmt, v) == []
+
+    @pytest.mark.parametrize(
+        "v",
+        [0.0, -0.0, 5e-324, -5e-324, 1.0 + 2.0**-49, 1.0 + 3 * 2.0**-49,
+         1.0 + 2.0**-48, 1.0 + 3 * 2.0**-48, -(1.0 + 3 * 2.0**-48), 2.0 - 2.0**-52,
+         math.nextafter(CRAY_OVERFLOW, 0.0), CRAY_OVERFLOW,
+         sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, float("nan")],
+        ids=["+0", "-0", "min-subnormal", "-min-subnormal", "quarter-down",
+             "three-quarter-up", "tie-down-to-even", "tie-up-to-even",
+             "-tie-up-to-even", "carry-into-exponent", "below-top-carry",
+             "top-carry", "max-finite", "-max-finite", "+inf", "-inf", "nan"],
+    )
+    def test_batched_cray_lanes_on_the_edge_matrix(self, v):
+        """The RPC legs' batched Cray kernel equals the reference round
+        trip at every edge, under raise and clamp: signed zeros, the
+        smallest subnormal, the points just above 1 where dropping five
+        bits rounds (2**-49 and 3 * 2**-49 are a quarter and three
+        quarters of the last kept bit; 2**-48 and 3 * 2**-48 are ties,
+        to even: down and up), a carry into the exponent, the carry out
+        of the top finite exponent, infinities and NaN."""
+        assert conformance_mod._check_cray_lanes(CRAY, v) == []
+        assert check_native_float(CRAY, v) == []
+
+    def test_batched_cray_check_catches_a_broken_kernel(self, monkeypatch):
+        # round ties *up* instead of to even: only the ties differ
+        real = conformance_mod._cray_lanes
+
+        def half_up(packer, doubles, per_value):
+            kernel = real(packer, doubles, per_value)
+
+            def broken(data):
+                vals = list(packer.unpack(data))
+                for i in doubles:
+                    (bits,) = struct.unpack(">Q", struct.pack(">d", vals[i]))
+                    if bits & 31 == 16:
+                        (vals[i],) = struct.unpack(">d", struct.pack(">Q", bits + 16))
+                return kernel(packer.pack(*vals))
+
+            return broken
+
+        monkeypatch.setattr(conformance_mod, "_cray_lanes", half_up)
+        assert conformance_mod._check_cray_lanes(CRAY, 1.0 + 2.0**-48) != []
+        assert conformance_mod._check_cray_lanes(CRAY, 1.5) == []
 
     def test_wire_preserves_negative_zero_bits(self):
         assert check_wire_value(DOUBLE, -0.0) == []

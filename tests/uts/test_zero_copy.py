@@ -1,11 +1,11 @@
-"""The zero-copy wire path (PR 4, satellite 2 + tentpole).
+"""The zero-copy wire path.
 
-Encode writes straight into a pooled bytearray (``encode_into`` /
-``encode_conformed_into`` — no intermediate per-value bytes objects
-joined into a second allocation), the payload travels as a single
-``memoryview`` over the sender's buffer through every hop, and a
-copy-counting hook proves no payload bytes are copied after encode.
-The legacy store-and-forward behaviour survives behind
+Encode can write straight into a caller-owned (pooled) bytearray
+(``encode_into`` / ``encode_conformed_into`` — no intermediate
+per-value bytes objects joined into a second allocation); an RPC leg
+packs its payload once, the payload travels as the same object through
+every hop, and a copy-counting hook proves no payload bytes are copied
+after encode.  The legacy store-and-forward behaviour survives behind
 ``Transport.copy_per_hop`` for contrast.
 """
 
@@ -196,7 +196,8 @@ class TestZeroCopyWirePath:
         stub(xs=[1.0] * 64)
         before = len(WIRE_BUFFERS)
         stub(xs=[2.0] * 64)
-        # the request/reply buffers went back to the pool (no growth)
+        # the RPC path leaves the pool as it found it (it packs its
+        # payloads without pooled buffers)
         assert len(WIRE_BUFFERS) == before
 
     def test_zero_copy_reply_still_decodes_correctly(self):
